@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .envelopes import classify
 from .multiplier import (
+    LAMBDA_CAP,
     jumping_numbers,
     lct,
     multiplier_ideal,
@@ -21,7 +22,6 @@ from .multiplier import (
 from .points import PointSet, general_points
 from .polynomials import poly_str
 from .verify import cross_check
-from .zerodim import zero_dim_report
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -41,10 +41,6 @@ class UnsupportedArrangement(Exception):
 
 # ---------------------------------------------------------------------------
 # serialization helpers
-
-
-def frac_str(f: Fraction) -> str:
-    return str(f)
 
 
 def parse_rational(text: str, what: str) -> Fraction:
@@ -79,8 +75,8 @@ def classification_doc(c) -> dict:
     if c.kind == "C":
         doc["w_generators"] = ideal_generators(c.w_ideal)
         doc["zd_generators"] = ideal_generators(c.zd_ideal)
-        doc["zd_degree"] = zero_dim_report(c.zd_ideal).degree
-        doc["w_degree"] = zero_dim_report(c.w_ideal).degree
+        doc["zd_degree"] = c.zd_degree
+        doc["w_degree"] = c.w_degree
     return doc
 
 
@@ -89,7 +85,7 @@ def classification_doc(c) -> dict:
 
 
 def _point_strings(Z: PointSet) -> list:
-    return [[frac_str(c) for c in p.coords] for p in Z]
+    return [[str(c) for c in p.coords] for p in Z]
 
 
 def input_digest(points: list) -> str:
@@ -179,7 +175,7 @@ def cmd_mi(Z, args) -> dict:
     result = multiplier_ideal(c, Z, lam)
     return {
         "classification": classification_doc(c),
-        "lambda": frac_str(lam),
+        "lambda": str(lam),
         "branch": result.branch,
         "generators": ideal_generators(result.ideal),
     }
@@ -188,22 +184,22 @@ def cmd_mi(Z, args) -> dict:
 def cmd_lct(Z, args) -> dict:
     c = classify(Z)
     _require_supported(c)
-    return {"classification": classification_doc(c), "lct": frac_str(lct(c))}
+    return {"classification": classification_doc(c), "lct": str(lct(c))}
 
 
 def cmd_jumps(Z, args) -> dict:
     lam_max = parse_rational(args.lambda_max, "--lambda-max")
-    if not 0 < lam_max <= 10:
-        raise InputError("--lambda-max must lie in (0, 10]")
+    if not 0 < lam_max <= LAMBDA_CAP:
+        raise InputError(f"--lambda-max must lie in (0, {LAMBDA_CAP}]")
     c = classify(Z)
     _require_supported(c)
     table = jumping_numbers(c, Z, lam_max)
     return {
         "classification": classification_doc(c),
-        "lambda_max": frac_str(lam_max),
-        "lct": frac_str(table.lct) if table.lct is not None else None,
+        "lambda_max": str(lam_max),
+        "lct": str(table.lct) if table.lct is not None else None,
         "jumps": [
-            {"lambda": frac_str(lam), "generators": ideal_generators(I)}
+            {"lambda": str(lam), "generators": ideal_generators(I)}
             for lam, I in table.jumps
         ],
     }
@@ -217,7 +213,7 @@ def cmd_verify(Z, args) -> dict:
         raise InputError("--grid must list at least one rational")
     report = cross_check(Z, grid)
     return {
-        "grid": [frac_str(l) for l in sorted(grid)],
+        "grid": [str(l) for l in sorted(grid)],
         "checks": [
             {"name": e.name, "passed": e.passed, "details": e.details}
             for e in report.entries

@@ -18,7 +18,7 @@ from .ideals import (
 from .linalg import RatMatrix
 from .points import PointSet, graded_piece, ideal_of_points
 from .polynomials import Poly, monomials_of_degree
-from .zerodim import zero_dim_report
+from .zerodim import ZeroDimReport, zero_dim_report
 
 ALL_OF_PLANE = "all-of-plane"
 CURVE = "curve"
@@ -32,6 +32,7 @@ class EnvelopeEntry:
     degree: int
     ideal: Ideal  # saturated ideal of the d-envelope
     descriptor: str
+    zero_dim: ZeroDimReport = None  # finite-scheme and mixed-dimension entries
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,8 @@ class Classification:
     curve_form: Poly = None  # case B: the form cutting the intermediate curve
     w_ideal: Ideal = None  # case C: saturated ideal of the residual points
     zd_ideal: Ideal = None  # case C: saturated ideal of the intermediate envelope
+    zd_degree: int = None  # case C: length of the intermediate envelope
+    w_degree: int = None  # case C: number of residual points
     reason: str = None  # unsupported only
     report: EnvelopeReport = None
 
@@ -69,17 +72,17 @@ def envelope(Z: PointSet, d: int) -> Ideal:
     return saturate(Ideal(basis, nvars=3), maximal_ideal())
 
 
-def _descriptor(env: Ideal, IZ: Ideal) -> str:
+def _descriptor(env: Ideal, IZ: Ideal):
+    """The envelope's descriptor, with its zero-dimensional report when one
+    was needed to decide it (None otherwise)."""
     if env.is_zero():
-        return ALL_OF_PLANE
+        return ALL_OF_PLANE, None
     if ideal_equal(env, IZ):
-        return EQUALS_Z
-    gb = env.groebner()
-    if len(gb) == 1:
-        return CURVE
-    if zero_dim_report(env).is_zero_dimensional:
-        return FINITE_SCHEME
-    return MIXED
+        return EQUALS_Z, None
+    if len(env.groebner()) == 1:
+        return CURVE, None
+    report = zero_dim_report(env)
+    return (FINITE_SCHEME if report.is_zero_dimensional else MIXED), report
 
 
 @lru_cache(maxsize=None)
@@ -98,7 +101,7 @@ def envelope_report(Z: PointSet) -> EnvelopeReport:
         env = envelope(Z, d)
         if not ideal_equal(env, previous):
             ggds.append(d)
-        entries.append(EnvelopeEntry(d, env, _descriptor(env, IZ)))
+        entries.append(EnvelopeEntry(d, env, *_descriptor(env, IZ)))
         if ideal_equal(env, IZ):
             return EnvelopeReport(
                 tuple(entries), tuple(ggds), tuple(generator_degrees(Z))
@@ -191,7 +194,7 @@ def classify(Z: PointSet) -> Classification:
             report=report,
         )
     if intermediate.descriptor == FINITE_SCHEME:
-        if not zero_dim_report(env).is_reduced:
+        if not intermediate.zero_dim.is_reduced:
             return Classification(
                 kind="unsupported",
                 reason="intermediate envelope is a non-reduced finite scheme",
@@ -199,8 +202,17 @@ def classify(Z: PointSet) -> Classification:
             )
         IZ = ideal_of_points(Z)
         W = saturate(ideal_quotient(env, IZ), maximal_ideal())
+        # Z_d is reduced and contains Z, so W is the rest of its points
+        zd_degree = intermediate.zero_dim.degree
         return Classification(
-            kind="C", d=d, e=e, w_ideal=W, zd_ideal=env, report=report
+            kind="C",
+            d=d,
+            e=e,
+            w_ideal=W,
+            zd_ideal=env,
+            zd_degree=zd_degree,
+            w_degree=zd_degree - len(Z),
+            report=report,
         )
     return Classification(
         kind="unsupported",

@@ -1,13 +1,13 @@
 """Zero-dimensional analysis of saturated homogeneous ideals: projective
-degree via Hilbert-function stabilization, reducedness via Seidenberg
-radicals on the three standard affine charts."""
+degree via Hilbert-function stabilization, reducedness via the rank of the
+Hermite trace form on the standard affine charts."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .ideals import Ideal, ideal_equal, ideal_sum, eliminate, _divides
+from .ideals import Ideal, ideal_sum, _divides
+from .linalg import RatMatrix
 from .polynomials import Poly, monomials_of_degree
 
 
@@ -47,95 +47,163 @@ def zero_dim_report(I: Ideal) -> ZeroDimReport:
     for t in range(bound + 1):
         h = hilbert_function(I, t)
         if prev is not None and h == prev:
-            return ZeroDimReport(True, h, _charts_reduced(I))
+            return ZeroDimReport(True, h, _charts_reduced(I, h))
         prev = h
     return ZeroDimReport(False, 0, False)
 
 
-def _charts_reduced(I: Ideal) -> bool:
-    for chart in range(3):
-        J = Ideal([g.set_var_one(chart) for g in I.groebner()], nvars=2)
+def _charts_reduced(I: Ideal, degree: int) -> bool:
+    """Is the scheme reduced on every standard affine chart?  The chart
+    z = 1 goes first: when its algebra has the full projective degree, no
+    point lies on z = 0 and that chart decides alone."""
+    gb = I.groebner()
+    for chart in (2, 0, 1):
+        J = Ideal([g.set_var_one(chart) for g in gb], nvars=2)
         if J.is_unit():
             continue  # no points in this chart
-        if not ideal_equal(radical_zero_dim(J), J):
+        dim, reduced = _chart_reduced(J)
+        if not reduced:
             return False
+        if chart == 2 and dim == degree:
+            return True
     return True
 
 
+# A Mersenne prime.  Full rank of the trace form modulo it certifies full
+# rank over Q, since a minor that is nonzero mod p is nonzero.
+TRACE_PRIME = 2**61 - 1
+
+
+def _chart_reduced(J: Ideal):
+    """(dim A, is A reduced) for A = k[u,v]/J: A is reduced iff its trace
+    form has full rank.  The rank is first taken modulo TRACE_PRIME, which
+    can only lower it; a form short of full rank there is ranked again
+    over Q."""
+    basis = _standard_monomials(J)
+    n = len(basis)
+    coefficients = [c for g in J.groebner() for c in g.terms.values()]
+    if all(c.denominator % TRACE_PRIME for c in coefficients):
+        modular = _trace_matrix(J, basis, TRACE_PRIME)
+        if _rank_mod(modular, TRACE_PRIME) == n:
+            return n, True
+    return n, RatMatrix(_trace_matrix(J, basis)).rank() == n
+
+
 def radical_zero_dim(I: Ideal) -> Ideal:
-    """Radical of a zero-dimensional affine ideal (Seidenberg, char 0):
-    adjoin the squarefree part of the minimal univariate polynomial of
-    each variable."""
-    extra = []
+    """Radical of a zero-dimensional affine ideal.  In characteristic 0 the
+    nilradical of A = k[x]/I is the kernel of the trace form of A, so the
+    radical is I plus the polynomials that kernel spans."""
+    basis = _standard_monomials(I)
+    form = RatMatrix(_trace_matrix(I, basis))
+    nilpotents = [
+        Poly(dict(zip(basis, vec)), I.nvars) for vec in form.kernel_basis()
+    ]
+    return ideal_sum(I, Ideal(nilpotents, nvars=I.nvars, order=I.order))
+
+
+def _trace_matrix(I: Ideal, basis, prime: int = None) -> list:
+    """The matrix Tr(b_i b_j) of the Hermite trace form of A = k[x]/I on its
+    standard monomials b_i.  Its rank is the number of distinct points of I
+    (characteristic 0), so I is radical iff the form has full rank (Cox,
+    Little, O'Shea, Using Algebraic Geometry, ch. 2 §§4-5).  Entries are
+    Fractions, or integers modulo `prime` when one is given (no coefficient
+    of I may then have a denominator divisible by it)."""
+    if prime is None:
+        lift = norm = lambda v: v
+    else:
+        lift = lambda c: c.numerator * pow(c.denominator, -1, prime) % prime
+        norm = lambda v: v % prime
+    index = {b: i for i, b in enumerate(basis)}
+    reducers = [
+        (g.leading_monomial(I.order), {e: lift(c) for e, c in g.terms.items()})
+        for g in I.groebner()
+    ]
+    keyf = I.order.key
+    forms = {}  # monomial -> its normal form, as {basis index: coefficient}
+
+    def coords(i, j):
+        m = tuple(a + b for a, b in zip(basis[i], basis[j]))
+        if m not in forms:
+            forms[m] = _normal_form(m, reducers, index, keyf, norm)
+        return forms[m]
+
+    n = len(basis)
+    products = [[coords(i, j) for j in range(n)] for i in range(n)]
+    # Tr(b_k) is the trace of multiplication by b_k on the basis
+    traces = [
+        norm(sum(products[k][l].get(l, 0) for l in range(n))) for k in range(n)
+    ]
+    return [
+        [
+            norm(sum(c * traces[k] for k, c in products[i][j].items()))
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def _standard_monomials(I: Ideal) -> list:
+    """Monomials outside the leading-term ideal, ascending in I's order.
+    They are finitely many exactly when I is zero-dimensional."""
+    if I.is_unit():
+        return []
+    lts = I.leading_exponents()
     for v in range(I.nvars):
-        m = _min_univariate(I, v)
-        if m is None:
+        if not any(l[v] > 0 and sum(l) == l[v] for l in lts):
             raise ValueError(
-                f"no univariate polynomial in variable {v}: ideal is not zero-dimensional"
+                f"no leading term is a power of variable {v}: ideal is not zero-dimensional"
             )
-        extra.append(_squarefree_univariate(m, v, I.nvars))
-    return ideal_sum(I, Ideal(extra, nvars=I.nvars, order=I.order))
+    found = {(0,) * I.nvars}
+    frontier = list(found)
+    while frontier:
+        e = frontier.pop()
+        for v in range(I.nvars):
+            f = e[:v] + (e[v] + 1,) + e[v + 1 :]
+            if f not in found and not any(_divides(l, f) for l in lts):
+                found.add(f)
+                frontier.append(f)
+    return sorted(found, key=I.order.key)
 
 
-def _min_univariate(I: Ideal, v: int):
-    """Lowest-degree element of I ∩ k[x_v], or None."""
-    J = I
-    for other in range(I.nvars):
-        if other != v:
-            J = eliminate(J, other)
-    candidates = [g for g in J.groebner() if not g.is_zero()]
-    if not candidates:
-        return None
-    return min(candidates, key=lambda g: g.total_degree())
-
-
-def _coeff_list(p: Poly, v: int) -> list:
-    out = [Fraction(0)] * (p.total_degree() + 1)
-    for e, c in p.terms.items():
-        out[e[v]] += c
+def _normal_form(m, reducers, index, keyf, norm) -> dict:
+    """Coordinates of the monomial m modulo a monic Groebner basis, given as
+    [(leading exponent, terms)], in the standard monomials listed by index."""
+    work = {m: 1}
+    out = {}
+    while work:
+        lt = max(work, key=keyf)
+        c = work.pop(lt)
+        for blt, terms in reducers:
+            if _divides(blt, lt):
+                shift = tuple(a - b for a, b in zip(lt, blt))
+                for e, t in terms.items():
+                    if e == blt:
+                        continue
+                    f = tuple(a + s for a, s in zip(e, shift))
+                    v = norm(work.get(f, 0) - c * t)
+                    if v:
+                        work[f] = v
+                    else:
+                        work.pop(f, None)
+                break
+        else:
+            out[index[lt]] = c
     return out
 
 
-def _uni_divmod(a: list, b: list):
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b) and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
-        k = len(a) - len(b)
-        f = a[-1] / b[-1]
-        q[k] = f
-        for i, c in enumerate(b):
-            a[i + k] -= f * c
-    while a and a[-1] == 0:
-        a.pop()
-    return q, a
-
-
-def _uni_gcd(a: list, b: list) -> list:
-    while any(b):
-        _, r = _uni_divmod(a, b)
-        a, b = b, r
-    lead = a[-1]
-    return [c / lead for c in a]
-
-
-def _squarefree_univariate(p: Poly, v: int, nvars: int) -> Poly:
-    coeffs = _coeff_list(p, v)
-    deriv = [c * k for k, c in enumerate(coeffs)][1:]
-    if not any(deriv):  # constant polynomial
-        return p
-    g = _uni_gcd(coeffs, deriv)
-    sqf, rem = _uni_divmod(coeffs, g)
-    if any(rem):
-        raise ArithmeticError("squarefree division failed; engine bug")
-    terms = {}
-    for k, c in enumerate(sqf):
-        if c:
-            e = [0] * nvars
-            e[v] = k
-            terms[tuple(e)] = c
-    lead = sqf[-1]
-    return Poly({e: c / lead for e, c in terms.items()}, nvars)
+def _rank_mod(rows, p: int) -> int:
+    """Rank of an integer matrix over the field with p elements."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] * inv % p
+            if f:
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank

@@ -217,3 +217,26 @@ def test_generator_requires_seed(tmp_path, capsys):
     code, _, err = run(capsys, ["lct", path])
     assert code == 2
     assert "seed" in err
+
+
+def test_classify_analyses_one_chart_of_one_envelope(tmp_path, capsys, monkeypatch):
+    # each fact once: classify and the CLI document read one stored report,
+    # and for general points the chart z = 1 decides it alone
+    from lct3 import envelopes, zerodim
+
+    reports, charts = [], []
+    report_fn, chart_fn = envelopes.zero_dim_report, zerodim._chart_reduced
+    monkeypatch.setattr(
+        envelopes, "zero_dim_report", lambda I: reports.append(I) or report_fn(I)
+    )
+    monkeypatch.setattr(
+        zerodim, "_chart_reduced", lambda J: charts.append(J) or chart_fn(J)
+    )
+    envelopes.classify.cache_clear()
+    envelopes.envelope_report.cache_clear()
+    path = write(tmp_path, {"generator": {"general": 8, "seed": 42}})
+    code, doc, _ = run(capsys, ["classify", path])
+    assert code == 0
+    assert doc["classification"]["zd_degree"] == 9
+    assert len(reports) == 1
+    assert len(charts) == 1

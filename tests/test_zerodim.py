@@ -1,6 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from lct3 import (
     Ideal,
@@ -11,11 +13,15 @@ from lct3 import (
     Z,
     general_points,
     hilbert_function,
+    ideal_intersect,
     ideal_of_points,
+    ideal_power,
+    point_prime,
     radical_zero_dim,
     variables,
     zero_dim_report,
 )
+from lct3 import zerodim
 
 
 def test_three_coordinate_points():
@@ -93,3 +99,87 @@ def test_radical_rejects_positive_dimension():
     x2, y2 = variables(2)
     with pytest.raises(ValueError):
         radical_zero_dim(Ideal([x2 * y2]))
+
+
+def _chart_z(I):
+    """The ideal of the scheme on the affine chart z = 1."""
+    return Ideal([g.set_var_one(2) for g in I.groebner()], nvars=2)
+
+
+AFFINE = ideal_of_points(PointSet.of([(0, 1, 1), (1, 2, 1), (3, 1, 1)]))
+
+
+@pytest.mark.parametrize(
+    "ideal, degree, reduced, charts",
+    [
+        # (x, y)^2 at [0:0:1]: the chart z = 1 holds all three of its length
+        pytest.param(Ideal([X * X, X * Y, Y * Y]), 3, False, 1, id="fat-point"),
+        pytest.param(AFFINE, 3, True, 1, id="affine-points"),
+        # a double point at [1:0:0] along z = 0, plus three affine points:
+        # z = 1 sees only the reduced part, the chart x = 1 finds the rest
+        pytest.param(
+            ideal_intersect(Ideal([Z, Y * Y]), AFFINE), 5, False, 2,
+            id="double-point-at-infinity",
+        ),
+        pytest.param(
+            ideal_intersect(Ideal([Z, Y]), AFFINE), 4, True, 3,
+            id="reduced-point-at-infinity",
+        ),
+        # everything on z = 0: the chart z = 1 is empty
+        pytest.param(
+            Ideal([Z, X * Y * (X - Y)]), 3, True, 2, id="three-points-at-infinity"
+        ),
+        pytest.param(
+            Ideal([Z, X * X * Y]), 3, False, 2, id="double-point-all-at-infinity"
+        ),
+    ],
+)
+def test_chart_logic(monkeypatch, ideal, degree, reduced, charts):
+    calls = []
+    chart_reduced = zerodim._chart_reduced
+
+    def counted(J):
+        calls.append(J)
+        return chart_reduced(J)
+
+    monkeypatch.setattr(zerodim, "_chart_reduced", counted)
+    report = zero_dim_report(ideal)
+    assert report.is_zero_dimensional
+    assert report.degree == degree
+    assert report.is_reduced is reduced
+    assert len(calls) == charts
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(1, 5), seed=st.integers(0, 10**6))
+def test_doubling_a_point_breaks_reducedness(n, seed):
+    Zset = general_points(n, seed)
+    assume(all(p.coords[2] != 0 for p in Zset))
+    IZ = ideal_of_points(Zset)
+    report = zero_dim_report(IZ)
+    assert report.is_reduced and report.degree == n
+    # replace the first point's prime P by P^2, a scheme of length 3
+    first, rest = Zset.points[0], Zset.points[1:]
+    doubled = ideal_power(point_prime(first), 2)
+    if rest:
+        doubled = ideal_intersect(doubled, ideal_of_points(PointSet(rest)))
+    report = zero_dim_report(doubled)
+    assert not report.is_reduced and report.degree == n + 2
+    radical = radical_zero_dim(_chart_z(doubled))
+    assert radical.groebner() == _chart_z(IZ).groebner()
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        # the trace form is diag(2, 2a), singular modulo the prime
+        zerodim.TRACE_PRIME,
+        # a coefficient the prime cannot reduce
+        Fraction(1, zerodim.TRACE_PRIME),
+    ],
+    ids=["singular-mod-prime", "denominator-of-prime"],
+)
+def test_modular_rank_falls_back_to_exact(a):
+    # x^2 = a z^2 on the line y = 0: two distinct points for any a != 0
+    report = zero_dim_report(Ideal([X * X - a * Z * Z, Y]))
+    assert report.degree == 2 and report.is_reduced
