@@ -16,9 +16,9 @@ from .ideals import (
     zero_ideal,
 )
 from .linalg import RatMatrix
-from .points import PointSet, graded_piece, ideal_of_points
+from .points import CACHE_SIZE, PointSet, graded_piece, ideal_of_points
 from .polynomials import Poly, monomials_of_degree
-from .zerodim import ZeroDimReport, zero_dim_report
+from .zerodim import projective_degree, zero_dim_report
 
 ALL_OF_PLANE = "all-of-plane"
 CURVE = "curve"
@@ -32,7 +32,6 @@ class EnvelopeEntry:
     degree: int
     ideal: Ideal  # saturated ideal of the d-envelope
     descriptor: str
-    zero_dim: ZeroDimReport = None  # finite-scheme and mixed-dimension entries
 
 
 @dataclass(frozen=True)
@@ -72,20 +71,19 @@ def envelope(Z: PointSet, d: int) -> Ideal:
     return saturate(Ideal(basis, nvars=3), maximal_ideal())
 
 
-def _descriptor(env: Ideal, IZ: Ideal):
-    """The envelope's descriptor, with its zero-dimensional report when one
-    was needed to decide it (None otherwise)."""
+def _descriptor(env: Ideal, IZ: Ideal) -> str:
+    """The envelope's descriptor, from its dimension and degree alone;
+    reducedness is decided only where classify reads it."""
     if env.is_zero():
-        return ALL_OF_PLANE, None
+        return ALL_OF_PLANE
     if ideal_equal(env, IZ):
-        return EQUALS_Z, None
+        return EQUALS_Z
     if len(env.groebner()) == 1:
-        return CURVE, None
-    report = zero_dim_report(env)
-    return (FINITE_SCHEME if report.is_zero_dimensional else MIXED), report
+        return CURVE
+    return FINITE_SCHEME if projective_degree(env) else MIXED
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def envelope_report(Z: PointSet) -> EnvelopeReport:
     """Scan the envelope chain from the first degree with a curve through Z
     until it stabilizes at Z itself, recording where it strictly shrinks."""
@@ -101,7 +99,7 @@ def envelope_report(Z: PointSet) -> EnvelopeReport:
         env = envelope(Z, d)
         if not ideal_equal(env, previous):
             ggds.append(d)
-        entries.append(EnvelopeEntry(d, env, *_descriptor(env, IZ)))
+        entries.append(EnvelopeEntry(d, env, _descriptor(env, IZ)))
         if ideal_equal(env, IZ):
             return EnvelopeReport(
                 tuple(entries), tuple(ggds), tuple(generator_degrees(Z))
@@ -165,7 +163,7 @@ def is_smooth_plane_curve(F: Poly) -> bool:
     return saturate(J, maximal_ideal()).is_unit()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def classify(Z: PointSet) -> Classification:
     """Sort an arrangement into case A, B, or C; everything else is reported
     as unsupported with a human-readable reason."""
@@ -194,7 +192,8 @@ def classify(Z: PointSet) -> Classification:
             report=report,
         )
     if intermediate.descriptor == FINITE_SCHEME:
-        if not intermediate.zero_dim.is_reduced:
+        zero_dim = zero_dim_report(env)
+        if not zero_dim.is_reduced:
             return Classification(
                 kind="unsupported",
                 reason="intermediate envelope is a non-reduced finite scheme",
@@ -203,7 +202,7 @@ def classify(Z: PointSet) -> Classification:
         IZ = ideal_of_points(Z)
         W = saturate(ideal_quotient(env, IZ), maximal_ideal())
         # Z_d is reduced and contains Z, so W is the rest of its points
-        zd_degree = intermediate.zero_dim.degree
+        zd_degree = zero_dim.degree
         return Classification(
             kind="C",
             d=d,

@@ -15,6 +15,8 @@ import heapq
 import math
 from fractions import Fraction
 from functools import reduce as _fold
+from itertools import chain
+from operator import add, le, sub
 
 from .polynomials import (
     GREVLEX,
@@ -30,21 +32,21 @@ IntPoly = dict  # exponent tuple -> int coefficient
 # integer polynomial helpers
 
 
-def _content(p: IntPoly) -> int:
+def _content(coefficients) -> int:
+    """gcd of the integers, stopping as soon as it reaches 1."""
     g = 0
-    for c in p.values():
+    for c in coefficients:
         g = math.gcd(g, c)
         if g == 1:
             return 1
     return g
 
 
-def _normalize(p: IntPoly, keyf) -> IntPoly:
-    """Divide by the content and make the leading coefficient positive."""
-    if not p:
-        return {}
-    g = _content(p)
-    if p[max(p, key=keyf)] < 0:
+def _normalize(p: IntPoly, lead) -> IntPoly:
+    """Divide by the content and make the coefficient of the leading
+    exponent `lead` positive."""
+    g = _content(p.values())
+    if p[lead] < 0:
         g = -g
     if g == 1:
         return p
@@ -58,7 +60,7 @@ def _int_from_poly(p: Poly, keyf) -> IntPoly:
     for c in p.terms.values():
         den = den * c.denominator // math.gcd(den, c.denominator)
     out = {e: int(c * den) for e, c in p.terms.items()}
-    return _normalize(out, keyf)
+    return _normalize(out, max(out, key=keyf))
 
 
 def _poly_from_int(p: IntPoly, nvars: int, keyf) -> Poly:
@@ -68,31 +70,35 @@ def _poly_from_int(p: IntPoly, nvars: int, keyf) -> Poly:
 
 
 def _divides(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
-def _nf(p: IntPoly, basis, keyf) -> IntPoly:
+def _nf(p: IntPoly, basis, order: MonomialOrder) -> IntPoly:
     """Full normal form of p modulo basis = [(lead_exp, poly), ...].
 
     The result is only defined up to a positive rational scalar, which is
     all that membership tests and basis reduction need; it is returned
-    primitive with positive leading coefficient.
+    primitive with positive leading coefficient.  A term gets a heap entry,
+    keyed by order.heap_key, when it enters the working polynomial, so each
+    key is computed once; the leading term is popped from the heap, and
+    entries whose term has cancelled since are skipped.
     """
+    heap_key = order.heap_key
     work = dict(p)
+    heap = [(heap_key(e), e) for e in work]
+    heapq.heapify(heap)
     rem: IntPoly = {}
-    while work:
-        lt = max(work, key=keyf)
-        lc = work[lt]
-        hit = None
+    while heap:
+        lt = heapq.heappop(heap)[1]
+        lc = work.pop(lt, 0)
+        if not lc:
+            continue  # cancelled, or a second entry for the same term
         for blt, b in basis:
-            if _divides(blt, lt):
-                hit = (blt, b)
+            if all(map(le, blt, lt)):  # _divides, inlined in the hot loop
                 break
-        if hit is None:
+        else:
             rem[lt] = lc
-            del work[lt]
             continue
-        blt, b = hit
         bc = b[blt]
         g = math.gcd(lc, bc)
         mp = abs(bc) // g
@@ -102,26 +108,28 @@ def _nf(p: IntPoly, basis, keyf) -> IntPoly:
                 work[e] *= mp
             for e in rem:
                 rem[e] *= mp
-        shift = tuple(a - c for a, c in zip(lt, blt))
+        shift = tuple(map(sub, lt, blt))
         for e, c in b.items():
-            f = tuple(a + s for a, s in zip(e, shift))
-            v = work.get(f, 0) - mb * c
-            if v:
-                work[f] = v
+            if e == blt:
+                continue
+            f = tuple(map(add, e, shift))
+            old = work.get(f)
+            if old is None:
+                work[f] = -mb * c
+                heapq.heappush(heap, (heap_key(f), f))
+            elif old == mb * c:
+                del work[f]
             else:
-                work.pop(f, None)
+                work[f] = old - mb * c
         if mp != 1 and (work or rem):
-            g = 0
-            for c in work.values():
-                g = math.gcd(g, c)
-            for c in rem.values():
-                g = math.gcd(g, c)
+            g = _content(chain(work.values(), rem.values()))
             if g > 1:
                 for e in work:
                     work[e] //= g
                 for e in rem:
                     rem[e] //= g
-    return _normalize(rem, keyf)
+    # terms entered rem in descending order, so its first is the leading one
+    return _normalize(rem, next(iter(rem))) if rem else rem
 
 
 def _spoly(f: IntPoly, ltf, g: IntPoly, ltg) -> IntPoly:
@@ -144,12 +152,13 @@ def _spoly(f: IntPoly, ltf, g: IntPoly, ltg) -> IntPoly:
     return out
 
 
-def _buchberger(gens, keyf):
+def _buchberger(gens, order: MonomialOrder):
     """Reduced Groebner basis (list of primitive IntPoly, descending leads)."""
+    keyf = order.key
     G: list = []
     lts: list = []
     for g in gens:
-        r = _nf(g, list(zip(lts, G)), keyf)
+        r = _nf(g, list(zip(lts, G)), order)
         if r:
             G.append(r)
             lts.append(max(r, key=keyf))
@@ -181,16 +190,17 @@ def _buchberger(gens, keyf):
                 break
         if skipped:
             continue
-        r = _nf(_spoly(G[i], lti, G[j], ltj), list(zip(lts, G)), keyf)
+        r = _nf(_spoly(G[i], lti, G[j], ltj), list(zip(lts, G)), order)
         if r:
             G.append(r)
             lts.append(max(r, key=keyf))
             push_pairs(len(G) - 1)
 
-    return _autoreduce(G, keyf)
+    return _autoreduce(G, order)
 
 
-def _autoreduce(G, keyf):
+def _autoreduce(G, order: MonomialOrder):
+    keyf = order.key
     order_idx = sorted(range(len(G)), key=lambda i: keyf(max(G[i], key=keyf)))
     kept: list = []
     kept_lts: list = []
@@ -205,7 +215,7 @@ def _autoreduce(G, keyf):
         changed = False
         for idx in range(len(kept)):
             others = [(kept_lts[k], kept[k]) for k in range(len(kept)) if k != idx]
-            r = _nf(kept[idx], others, keyf)
+            r = _nf(kept[idx], others, order)
             if r != kept[idx]:
                 kept[idx] = r
                 changed = True
@@ -269,7 +279,7 @@ class Ideal:
                 ints = [_int_from_poly(g, keyf) for g in self.generators]
                 gb = tuple(
                     _poly_from_int(p, self.nvars, keyf)
-                    for p in _buchberger(ints, keyf)
+                    for p in _buchberger(ints, self.order)
                 )
             object.__setattr__(self, "_gb", gb)
         return self._gb
@@ -309,7 +319,7 @@ class Ideal:
         if self.is_unit():
             return True
         keyf = self.order.key
-        return not _nf(_int_from_poly(p, keyf), self._int_basis(), keyf)
+        return not _nf(_int_from_poly(p, keyf), self._int_basis(), self.order)
 
     def contains_ideal(self, other: "Ideal") -> bool:
         return all(self.contains(g) for g in other.groebner())
@@ -351,8 +361,27 @@ def ideal_sum(*ideals: Ideal) -> Ideal:
     return Ideal(gens, nvars=nvars, order=order)
 
 
+def _int_mul(f: IntPoly, g: IntPoly) -> IntPoly:
+    out: IntPoly = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(map(add, e1, e2))
+            v = out.get(e, 0) + c1 * c2
+            if v:
+                out[e] = v
+            else:
+                del out[e]
+    return out
+
+
 def ideal_product(I: Ideal, J: Ideal) -> Ideal:
-    gens = [f * g for f in I.generators for g in J.generators]
+    """Products of the generators, multiplied as primitive integer forms.
+    By Gauss's lemma each product is primitive with a positive leading
+    coefficient, so f*g and g*f give the same generator."""
+    keyf = I.order.key
+    fs = [_int_from_poly(f, keyf) for f in I.generators]
+    gs = [_int_from_poly(g, keyf) for g in J.generators]
+    gens = [Poly(_int_mul(f, g), I.nvars) for f in fs for g in gs]
     return Ideal(gens, nvars=I.nvars, order=I.order)
 
 

@@ -65,12 +65,6 @@ class RatMatrix:
         echelon, _ = RatMatrix(vecs).rref()
         return [tuple(row) for row in echelon.entries]
 
-    def mul_vector(self, v):
-        v = [Fraction(x) for x in v]
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
-
     def __eq__(self, other):
         return isinstance(other, RatMatrix) and self.entries == other.entries
 

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .envelopes import Classification, classify
+from .envelopes import Classification
 from .ideals import (
     Ideal,
     ideal_equal,
@@ -79,8 +79,22 @@ def multiplier_ideal(c: Classification, Z: PointSet, lam) -> MultiplierIdealResu
     lam = as_lambda(lam)
     if lam > LAMBDA_CAP:
         raise ValueError(f"exponent {lam} exceeds the supported cap {LAMBDA_CAP}")
+    return _lookup(c, Z, lam, {})
+
+
+def _lookup(c: Classification, Z: PointSet, lam: Fraction, memo: dict):
+    """J(lam) from memo, assembled on a miss.  The memo belongs to a single
+    multiplier_ideal or jumping_numbers call."""
+    result = memo.get(lam)
+    if result is None:
+        result = memo[lam] = _assemble(c, Z, lam, memo)
+    return result
+
+
+def _assemble(c: Classification, Z: PointSet, lam: Fraction, memo: dict):
+    """J(lam) by one Skoda step from memo at lam >= 3, else in closed form."""
     if lam >= 3:
-        inner = multiplier_ideal(c, Z, lam - 1)
+        inner = _lookup(c, Z, lam - 1, memo)
         ideal = ideal_product(ideal_of_points(Z), inner.ideal)
         return MultiplierIdealResult(lam, ideal, "skoda-recursion")
     d = c.d
@@ -144,21 +158,25 @@ def jump_candidates(c: Classification, lam_max) -> list:
 
 def jumping_numbers(c: Classification, Z: PointSet, lam_max) -> JumpTable:
     """Scan the candidate exponents; record those where the multiplier ideal
-    strictly shrinks relative to just below."""
+    strictly shrinks relative to just below.  The candidates hold every
+    breakpoint of every floor term and of its Skoda shift, so J is constant
+    on [previous candidate, candidate) and each candidate is compared with
+    the previous one, starting from J(0).  One memo serves the whole scan,
+    so each exponent is assembled once."""
     lam_max = as_lambda(lam_max)
     if lam_max > LAMBDA_CAP:
         raise ValueError(f"cut-off {lam_max} exceeds the supported cap {LAMBDA_CAP}")
+    _require_supported(c)
+    memo: dict = {}
     jumps = []
-    previous = Fraction(0)
+    before = _lookup(c, Z, Fraction(0), memo).ideal
     for cand in jump_candidates(c, lam_max):
-        midpoint = (previous + cand) / 2
-        before = multiplier_ideal(c, Z, midpoint).ideal
-        at = multiplier_ideal(c, Z, cand).ideal
+        at = _lookup(c, Z, cand, memo).ideal
         if not ideal_equal(at, before):
             if not before.contains_ideal(at):
                 raise RuntimeError("multiplier ideal grew across a candidate; bug")
             jumps.append((cand, at))
-        previous = cand
+        before = at
     return JumpTable(tuple(jumps), jumps[0][0] if jumps else None)
 
 
@@ -200,7 +218,3 @@ def membership_by_valuation(
         degH + (d + j) * a >= math.floor(lam * (d + j)) - (2 + j)
         for j in range(e - d + 1)
     )
-
-
-def classify_and_multiplier_ideal(Z: PointSet, lam) -> MultiplierIdealResult:
-    return multiplier_ideal(classify(Z), Z, lam)

@@ -109,14 +109,20 @@ def graded_piece(Z: PointSet, d: int) -> GradedPiece:
     return GradedPiece(d, tuple(basis))
 
 
-@lru_cache(maxsize=None)
+# Entries kept by each arrangement cache (ideal_of_points, symbolic_power,
+# envelope_report, classify): ample for reuse within one computation, and
+# bounded so a long-lived process does not keep every arrangement it saw.
+CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def ideal_of_points(Z: PointSet) -> Ideal:
     """The saturated homogeneous ideal of Z (equivalently of the cone over
     Z in affine 3-space), as the intersection of the point primes."""
     return reduce(ideal_intersect, (point_prime(p) for p in Z))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def symbolic_power(Z: PointSet, k: int) -> Ideal:
     """The k-th symbolic power: intersection of the k-th powers of the
     point primes.  k = 0 gives the unit ideal, k = 1 the ideal itself."""

@@ -51,6 +51,18 @@ class MonomialOrder:
             return (grevlex_key(e[: self.block]), grevlex_key(e[self.block :]))
         raise ValueError(f"unknown monomial order tag {self.tag!r}")
 
+    def heap_key(self, e: Exponent):
+        """The order key with every integer negated, so that a min-heap on it
+        pops the largest monomial first.  Exact for any exponent size."""
+        if self.tag == "grevlex":
+            return (-sum(e), e[::-1])
+        if self.tag == "lex":
+            return tuple(-v for v in e)
+        if self.tag == "elim":
+            head, tail = e[: self.block], e[self.block :]
+            return ((-sum(head), head[::-1]), (-sum(tail), tail[::-1]))
+        raise ValueError(f"unknown monomial order tag {self.tag!r}")
+
 
 GREVLEX = MonomialOrder("grevlex")
 LEX = MonomialOrder("lex")

@@ -29,7 +29,17 @@ def hilbert_function(I: Ideal, t: int) -> int:
 
 
 def zero_dim_report(I: Ideal) -> ZeroDimReport:
-    """Analyze a saturated homogeneous ideal in three variables.
+    """Analyze a saturated homogeneous ideal in three variables: its
+    projective degree and, for a zero-dimensional scheme, reducedness."""
+    degree = projective_degree(I)
+    if not degree:
+        return ZeroDimReport(False, 0, False)
+    return ZeroDimReport(True, degree, _charts_reduced(I, degree))
+
+
+def projective_degree(I: Ideal) -> int:
+    """Length of the scheme of a saturated homogeneous ideal in three
+    variables; 0 when the scheme is not zero-dimensional.
 
     For a saturated ideal the Hilbert function of S/I is non-decreasing and,
     once two consecutive values agree, constant; a zero-dimensional scheme is
@@ -41,15 +51,15 @@ def zero_dim_report(I: Ideal) -> ZeroDimReport:
     if I.is_unit():
         raise ValueError("the unit ideal defines the empty scheme")
     if I.is_zero():
-        return ZeroDimReport(False, 0, False)
+        return 0
     bound = sum(sum(e) for e in I.leading_exponents()) + 2
     prev = None
     for t in range(bound + 1):
         h = hilbert_function(I, t)
         if prev is not None and h == prev:
-            return ZeroDimReport(True, h, _charts_reduced(I, h))
+            return h
         prev = h
-    return ZeroDimReport(False, 0, False)
+    return 0
 
 
 def _charts_reduced(I: Ideal, degree: int) -> bool:

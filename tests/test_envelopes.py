@@ -81,6 +81,24 @@ def test_classify_three_ggds(eleven_on_cubic):
     assert c.reason == "3 geometric generating degrees"
 
 
+def test_unread_reducedness_is_not_computed(monkeypatch, eleven_on_cubic):
+    # three generating degrees: no intermediate envelope is examined, so the
+    # finite-scheme envelopes of the chain get a degree but no chart analysis
+    from lct3 import envelopes, zerodim
+
+    charts = []
+    chart_fn = zerodim._chart_reduced
+    monkeypatch.setattr(
+        zerodim, "_chart_reduced", lambda J: charts.append(J) or chart_fn(J)
+    )
+    envelopes.classify.cache_clear()
+    envelopes.envelope_report.cache_clear()
+    c = classify(eleven_on_cubic)
+    assert c.reason == "3 geometric generating degrees"
+    assert envelopes.FINITE_SCHEME in [e.descriptor for e in c.report.entries]
+    assert charts == []
+
+
 def test_classify_case_c(eight_general):
     c = classify(eight_general)
     assert c.kind == "C" and (c.d, c.e) == (3, 4)

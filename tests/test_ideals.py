@@ -5,12 +5,15 @@ import pytest
 import sympy
 
 from lct3 import (
+    GREVLEX,
+    LEX,
     Ideal,
     Poly,
     X,
     Y,
     Z,
     eliminate,
+    elimination_order,
     ideal_equal,
     ideal_intersect,
     ideal_power,
@@ -210,3 +213,64 @@ def test_zero_ideal_requires_ring_width():
     with pytest.raises(ValueError):
         Ideal([])
     assert zero_ideal(3).is_zero()
+
+
+def _random_rational_poly(rng):
+    """A random form with rational coefficients, scaled by a non-unit
+    rational so it is not primitive, with a negative leading coefficient
+    about half the time."""
+    degree = rng.randint(0, 3)
+    monos = monomials_of_degree(degree)
+    terms = {
+        e: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        for e in rng.sample(monos, rng.randint(1, min(4, len(monos))))
+    }
+    p = Poly(terms, 3) * Fraction(rng.choice([2, 6, 10]), rng.choice([1, 3, 7]))
+    if p.is_zero():
+        return Poly.constant(Fraction(-3, 2))
+    if rng.random() < 0.5 and p.leading_coefficient() > 0:
+        p = -p
+    return p
+
+
+def test_integer_products_equal_rational_products():
+    rng = random.Random(77)
+    for _ in range(25):
+        I = Ideal([_random_rational_poly(rng) for _ in range(rng.randint(1, 3))])
+        J = Ideal([_random_rational_poly(rng) for _ in range(rng.randint(1, 3))])
+        product = ideal_product(I, J)
+        by_poly = Ideal([f * g for f in I.generators for g in J.generators])
+        assert ideal_equal(product, by_poly)
+        # each product is primitive with a positive leading coefficient, so
+        # the two orders of the factors give the same generators
+        assert set(product.generators) == set(ideal_product(J, I).generators)
+        for g in product.generators:
+            assert g.leading_coefficient() > 0
+            assert all(c.denominator == 1 for c in g.terms.values())
+
+
+def test_heap_key_reverses_the_order():
+    rng = random.Random(8)
+    for order in (GREVLEX, LEX, elimination_order(1)):
+        exps = [tuple(rng.randint(0, 3) for _ in range(4)) for _ in range(60)]
+        exps += [(0, 70000, 0, 0), (0, 69999, 1, 0), (1, 0, 0, 70000)]
+        descending = sorted(set(exps), key=order.key, reverse=True)
+        assert sorted(set(exps), key=order.heap_key) == descending
+
+
+def test_normal_form_beyond_any_key_width():
+    # exponents past 2^16: a key packed into fixed-width fields would wrap
+    big = 70000
+    x_big = Poly.monomial((big, 0, 0))
+    assert Ideal([x_big - Poly.monomial((big - 1, 1, 0))]).leading_exponents() == (
+        (big, 0, 0),
+    )
+    # leading term x^69999*y beats z^70000 in grevlex
+    b = Poly.monomial((big - 1, 1, 0)) - Poly.monomial((0, 0, big))
+    I = Ideal([b])
+    assert I.leading_exponents() == ((big - 1, 1, 0),)
+    # x^70000*y + x^69999*y^2 reduces by x*b, then y*b, to (x + y)*z^70000
+    p = Poly.monomial((big, 1, 0)) + Poly.monomial((big - 1, 2, 0))
+    assert not I.contains(p)
+    assert I.contains(p - (X + Y) * Poly.monomial((0, 0, big)))
+    assert I.contains(X * b) and not I.contains(x_big)
