@@ -31,6 +31,7 @@ from .linalg import RatMatrix
 from .multiplier import (
     JumpTable,
     MultiplierIdealResult,
+    UnsupportedArrangement,
     as_lambda,
     jump_candidates,
     jumping_numbers,

@@ -15,6 +15,7 @@ from pathlib import Path
 from .envelopes import classify
 from .multiplier import (
     LAMBDA_CAP,
+    UnsupportedArrangement,
     jumping_numbers,
     lct,
     multiplier_ideal,
@@ -32,10 +33,6 @@ MAX_GENERATED_POINTS = 15
 
 
 class InputError(Exception):
-    pass
-
-
-class UnsupportedArrangement(Exception):
     pass
 
 
@@ -153,11 +150,6 @@ def load_arrangement(path: str, seed_override=None):
     return Z, echo
 
 
-def _require_supported(c):
-    if not c.is_supported():
-        raise UnsupportedArrangement(c.reason)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -168,10 +160,9 @@ def cmd_classify(Z, args) -> dict:
 
 def cmd_mi(Z, args) -> dict:
     lam = parse_rational(args.lam, "--lambda")
-    if lam < 0:
-        raise InputError("--lambda must be non-negative")
+    if not 0 <= lam <= LAMBDA_CAP:
+        raise InputError(f"--lambda must lie in [0, {LAMBDA_CAP}]")
     c = classify(Z)
-    _require_supported(c)
     result = multiplier_ideal(c, Z, lam)
     return {
         "classification": classification_doc(c),
@@ -183,7 +174,6 @@ def cmd_mi(Z, args) -> dict:
 
 def cmd_lct(Z, args) -> dict:
     c = classify(Z)
-    _require_supported(c)
     return {"classification": classification_doc(c), "lct": str(lct(c))}
 
 
@@ -192,7 +182,6 @@ def cmd_jumps(Z, args) -> dict:
     if not 0 < lam_max <= LAMBDA_CAP:
         raise InputError(f"--lambda-max must lie in (0, {LAMBDA_CAP}]")
     c = classify(Z)
-    _require_supported(c)
     table = jumping_numbers(c, Z, lam_max)
     return {
         "classification": classification_doc(c),
@@ -211,6 +200,8 @@ def cmd_verify(Z, args) -> dict:
     ]
     if not grid:
         raise InputError("--grid must list at least one rational")
+    if not all(0 <= lam <= LAMBDA_CAP for lam in grid):
+        raise InputError(f"--grid values must lie in [0, {LAMBDA_CAP}]")
     report = cross_check(Z, grid)
     return {
         "grid": [str(l) for l in sorted(grid)],
@@ -277,7 +268,7 @@ def main(argv=None) -> int:
         print(f"lct3: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except UnsupportedArrangement as exc:
-        print(f"lct3: unsupported arrangement: {exc}", file=sys.stderr)
+        print(f"lct3: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     doc = {"command": args.command, "input": echo}
     doc.update(result)

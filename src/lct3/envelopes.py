@@ -200,7 +200,8 @@ def classify(Z: PointSet) -> Classification:
                 report=report,
             )
         IZ = ideal_of_points(Z)
-        W = saturate(ideal_quotient(env, IZ), maximal_ideal())
+        # env is saturated, so env : IZ is too
+        W = ideal_quotient(env, IZ)
         # Z_d is reduced and contains Z, so W is the rest of its points
         zd_degree = zero_dim.degree
         return Classification(

@@ -7,6 +7,11 @@ reductions stay in exact integer arithmetic; results are converted back to
 monic Fraction polynomials.  Pair selection is by ascending lcm degree with
 the product criterion and the chain criterion (justified only by pairs
 treated strictly earlier, so discards are well-founded).
+
+Saturation is closed-form and only for what the package needs: a
+homogeneous ideal by an ideal of variables, such as the irrelevant ideal
+(x, y, z).  One grevlex basis per variable, with that variable last, gives
+I : v^infinity by dividing out v; the parts are then intersected.
 """
 
 from __future__ import annotations
@@ -444,15 +449,44 @@ def ideal_quotient(I: Ideal, J: Ideal) -> Ideal:
     return _fold(ideal_intersect, parts)
 
 
-def saturate(I: Ideal, J: Ideal, max_iterations: int = 50) -> Ideal:
-    """The saturation (I : J^infinity) by iterated quotients."""
-    current = I
-    for _ in range(max_iterations):
-        nxt = ideal_quotient(current, J)
-        if ideal_equal(nxt, current):
-            return current
-        current = nxt
-    raise RuntimeError("saturation did not stabilize; engine bug")
+def saturate(I: Ideal, J: Ideal) -> Ideal:
+    """The saturation (I : J^infinity) of a homogeneous ideal I by an ideal J
+    generated by variables, e.g. the irrelevant ideal m = (x, y, z).
+
+    I : J^infinity is the intersection of the I : v^infinity over the
+    variables v of J.  Each of these is read off one grevlex basis of I with
+    v permuted to the last place: dividing every basis element by its largest
+    power of v gives a basis of I : v^infinity (Bayer and Stillman, "A
+    criterion for detecting m-regularity", Invent. Math. 1987).  That needs
+    I homogeneous, so anything else is refused.
+    """
+    n = I.nvars
+    if J.nvars != n:
+        raise ValueError("ideals live in different rings")
+    variables = []
+    for g in J.groebner():
+        e = next(iter(g.terms))
+        if len(g.terms) != 1 or sum(e) != 1:
+            raise ValueError("saturate needs an ideal generated by variables")
+        variables.append(e.index(1))
+    if not variables:
+        raise ValueError("saturate needs an ideal generated by variables")
+    if not all(g.is_homogeneous() for g in I.generators):
+        raise ValueError("saturate needs a homogeneous ideal")
+    parts = []
+    for v in variables:
+        perm = tuple(i for i in range(n) if i != v) + (v,)
+        inverse = tuple(perm.index(i) for i in range(n))
+        moved = Ideal([g.permute(perm) for g in I.generators], nvars=n)
+        quotient = [_divide_out_last(g).permute(inverse) for g in moved.groebner()]
+        parts.append(Ideal(quotient, nvars=n))
+    return _fold(ideal_intersect, parts)
+
+
+def _divide_out_last(p: Poly) -> Poly:
+    """p divided by the largest power of its last variable that divides it."""
+    k = min(e[-1] for e in p.terms)
+    return Poly({e[:-1] + (e[-1] - k,): c for e, c in p.terms.items()}, p.nvars)
 
 
 def eliminate(I: Ideal, var: int) -> Ideal:

@@ -56,9 +56,17 @@ def power_of_m(k: int) -> Ideal:
     return Ideal._seeded(gens, nvars=3)
 
 
+class UnsupportedArrangement(ValueError):
+    """The arrangement falls outside cases A, B and C; `reason` says why."""
+
+    def __init__(self, reason: str):
+        super().__init__(f"unsupported arrangement: {reason}")
+        self.reason = reason
+
+
 def _require_supported(c: Classification):
     if not c.is_supported():
-        raise ValueError(f"unsupported arrangement: {c.reason}")
+        raise UnsupportedArrangement(c.reason)
 
 
 def lct(c: Classification) -> Fraction:

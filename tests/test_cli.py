@@ -240,3 +240,36 @@ def test_classify_analyses_one_chart_of_one_envelope(tmp_path, capsys, monkeypat
     assert doc["classification"]["zd_degree"] == 9
     assert len(reports) == 1
     assert len(charts) == 1
+
+
+def test_out_of_range_exponents_exit_2(tmp_path, capsys):
+    # each is refused before any ideal is built, with a message, not a traceback
+    path = write(tmp_path, COORD)
+    for argv in (
+        ["mi", path, "--lambda", "11"],
+        ["mi", path, "--lambda=-1/2"],
+        ["jumps", path, "--lambda-max", "11"],
+        ["verify", path, "--grid", "1/2,11"],
+        ["verify", path, "--grid", "-1"],
+    ):
+        code, doc, err = run(capsys, argv)
+        assert code == 2, argv
+        assert doc is None
+        assert err.startswith("lct3: --") and ("[0, 10]" in err or "(0, 10]" in err)
+        assert "Traceback" not in err
+    code, doc, _ = run(capsys, ["mi", path, "--lambda", "10"])
+    assert code == 0 and doc["branch"] == "skoda-recursion"
+
+
+def test_unsupported_message_is_one_line(tmp_path, capsys):
+    reason = "intermediate envelope has components of different dimensions"
+    path = write(tmp_path, FOUR_MIXED)
+    for argv in (
+        ["mi", path, "--lambda", "1"],
+        ["lct", path],
+        ["jumps", path, "--lambda-max", "2"],
+    ):
+        code, doc, err = run(capsys, argv)
+        assert code == 3
+        assert doc is None
+        assert err == f"lct3: unsupported arrangement: {reason}\n"

@@ -14,6 +14,8 @@ from lct3 import (
     ideal_equal,
     ideal_of_points,
     is_smooth_plane_curve,
+    maximal_ideal,
+    saturate,
     zero_dim_report,
 )
 
@@ -107,6 +109,8 @@ def test_classify_case_c(eight_general):
     assert zd.is_reduced and zd.degree == 9
     assert w.degree == 1
     assert zd.degree == len(eight_general) + w.degree
+    # Z_d is saturated, so Z_d : I_Z is too, with no saturation of its own
+    assert ideal_equal(saturate(c.w_ideal, maximal_ideal()), c.w_ideal)
     # the intermediate envelope contains the arrangement
     assert ideal_of_points(eight_general).contains_ideal(c.zd_ideal)
 
@@ -184,3 +188,35 @@ def test_case_b_unique_curve(six_on_conic, three_collinear):
         assert c.curve_form.total_degree() == c.d
         assert is_smooth_plane_curve(c.curve_form)
         assert ideal_equal(envelope(Z_, c.d), Ideal([c.curve_form], nvars=3))
+
+
+# Noise-free gate on classify: fresh Groebner bases (_buchberger runs) for
+# one classification from empty arrangement caches.  The counts may only go
+# down.
+GATE_BUCHBERGER = {"eight-general": 39, "six-on-conic": 28}
+
+
+@pytest.mark.parametrize("name", sorted(GATE_BUCHBERGER))
+def test_classify_groebner_runs_are_pinned(
+    monkeypatch, name, eight_general, six_on_conic
+):
+    from lct3 import envelopes, ideals, points
+
+    Z_ = {"eight-general": eight_general, "six-on-conic": six_on_conic}[name]
+    for cached in (
+        envelopes.classify,
+        envelopes.envelope_report,
+        points.ideal_of_points,
+        points.symbolic_power,
+    ):
+        cached.cache_clear()
+    runs = []
+    buchberger = ideals._buchberger
+
+    def counted(gens, order):
+        runs.append(order)
+        return buchberger(gens, order)
+
+    monkeypatch.setattr(ideals, "_buchberger", counted)
+    classify(Z_)
+    assert len(runs) == GATE_BUCHBERGER[name], len(runs)

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings, strategies as st
 
 from lct3 import (
     GREVLEX,
     LEX,
     Ideal,
     Poly,
+    PointSet,
     X,
     Y,
     Z,
@@ -16,6 +18,7 @@ from lct3 import (
     elimination_order,
     ideal_equal,
     ideal_intersect,
+    ideal_of_points,
     ideal_power,
     ideal_product,
     ideal_quotient,
@@ -106,6 +109,70 @@ def test_saturate_examples():
     assert gens(saturate(Ideal([X * X, X * Y, X * Z]), m)) == ["x"]
     assert saturate(ideal_power(m, 3), m).is_unit()
     assert saturate(zero_ideal(), m).is_zero()
+
+
+def reference_saturate(I, J, rounds=20):
+    """I : J^infinity by the quotient chain I, I : J, (I : J) : J, ...,
+    stopped where two consecutive ideals agree."""
+    current = I
+    for _ in range(rounds):
+        nxt = ideal_quotient(current, J)
+        if ideal_equal(nxt, current):
+            return current
+        current = nxt
+    raise AssertionError("the quotient chain did not stabilize")
+
+
+coordinate = st.integers(-2, 2)
+# points with a zero coordinate about half the time, so on a coordinate line
+point = st.tuples(coordinate, coordinate, coordinate, st.integers(0, 3)).map(
+    lambda t: tuple(0 if i == t[3] else c for i, c in enumerate(t[:3]))
+)
+
+
+@st.composite
+def homogeneous_ideals(draw):
+    """A non-monomial homogeneous ideal: the ideal of one to four points,
+    times or intersected with a power of m, plus up to two random forms,
+    each either free (it may cut points away) or a multiple of a form
+    through the points."""
+    raw = draw(st.lists(point, min_size=1, max_size=4))
+    try:
+        Z_ = PointSet.of(raw)
+    except ValueError:  # a zero triple or a repeated point
+        assume(False)
+    IZ = ideal_of_points(Z_)
+    m_k = ideal_power(maximal_ideal(), draw(st.integers(1, 3)))
+    I = draw(st.sampled_from([ideal_product, ideal_intersect]))(IZ, m_k)
+    for _ in range(draw(st.integers(0, 2))):
+        monos = monomials_of_degree(draw(st.integers(1, 3)))
+        form = Poly({e: draw(st.integers(-3, 3)) for e in monos}, 3)
+        if draw(st.booleans()):
+            form = form * draw(st.sampled_from(IZ.groebner()))
+        I = ideal_sum(I, Ideal([form], nvars=3))
+    return I
+
+
+variable_ideals = st.sampled_from([(0, 1, 2), (2,), (0,), (0, 1), (1, 2)]).map(
+    lambda vs: Ideal([Poly.variable(v, 3) for v in vs], nvars=3)
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(I=homogeneous_ideals(), J=variable_ideals)
+def test_saturate_matches_the_quotient_chain(I, J):
+    S = saturate(I, J)
+    assert ideal_equal(S, reference_saturate(I, J))
+    assert S.contains_ideal(I)
+
+
+def test_saturate_refuses_what_it_cannot_compute():
+    m = maximal_ideal()
+    with pytest.raises(ValueError, match="homogeneous"):
+        saturate(Ideal([X * X - Y]), m)
+    for J in (Ideal([X + Y]), Ideal([X * X, Y]), unit_ideal(), zero_ideal()):
+        with pytest.raises(ValueError, match="variables"):
+            saturate(Ideal([X * Y]), J)
 
 
 def test_eliminate_examples():
