@@ -16,7 +16,7 @@ from .ideals import (
     zero_ideal,
 )
 from .linalg import RatMatrix
-from .points import CACHE_SIZE, PointSet, graded_piece, ideal_of_points
+from .points import CACHE_SIZE, PointSet, graded_piece, hilbert_pieces, ideal_of_points
 from .polynomials import Poly, monomials_of_degree
 from .zerodim import projective_degree, zero_dim_report
 
@@ -65,10 +65,7 @@ class Classification:
 def envelope(Z: PointSet, d: int) -> Ideal:
     """Saturated ideal of the d-envelope: the subscheme cut out by the
     degree-d forms through Z.  The zero ideal when no such forms exist."""
-    basis = graded_piece(Z, d).basis
-    if not basis:
-        return zero_ideal(3)
-    return saturate(Ideal(basis, nvars=3), maximal_ideal())
+    return saturate(Ideal(graded_piece(Z, d).basis, nvars=3), maximal_ideal())
 
 
 def _descriptor(env: Ideal, IZ: Ideal) -> str:
@@ -83,32 +80,24 @@ def _descriptor(env: Ideal, IZ: Ideal) -> str:
     return FINITE_SCHEME if projective_degree(env) else MIXED
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def envelope_report(Z: PointSet) -> EnvelopeReport:
-    """Scan the envelope chain from the first degree with a curve through Z
-    until it stabilizes at Z itself, recording where it strictly shrinks."""
+    """Saturate the nonzero graded pieces of I_Z in turn until the envelope
+    is Z itself (at the latest the last piece), noting each strict shrink."""
     IZ = ideal_of_points(Z)
-    limit = len(Z) + 2
-    d = 1
-    while d <= limit and not graded_piece(Z, d).basis:
-        d += 1
     entries = []
     ggds = []
     previous = zero_ideal(3)
-    while d <= limit:
-        env = envelope(Z, d)
+    for piece in hilbert_pieces(Z):
+        if not piece.basis:
+            continue
+        env = saturate(Ideal(piece.basis, nvars=3), maximal_ideal())
         if not ideal_equal(env, previous):
-            ggds.append(d)
-        entries.append(EnvelopeEntry(d, env, _descriptor(env, IZ)))
+            ggds.append(piece.degree)
+        entries.append(EnvelopeEntry(piece.degree, env, _descriptor(env, IZ)))
         if ideal_equal(env, IZ):
-            return EnvelopeReport(
-                tuple(entries), tuple(ggds), tuple(generator_degrees(Z))
-            )
+            break
         previous = env
-        d += 1
-    raise RuntimeError(
-        f"envelope chain did not stabilize by degree {limit}; engine bug"
-    )
+    return EnvelopeReport(tuple(entries), tuple(ggds), tuple(generator_degrees(Z)))
 
 
 def geometric_generating_degrees(Z: PointSet):
@@ -119,19 +108,12 @@ def generator_degrees(Z: PointSet):
     """Degrees in which the saturated ideal needs minimal generators: d is
     one exactly when the degree-d forms through Z exceed the span of
     (linear forms) * (degree d-1 forms through Z), decided by exact rank."""
-    n = len(Z)
-    # last degree where the Hilbert function of the points still moves
-    t = 1
-    while (t + 1) * (t + 2) // 2 - len(graded_piece(Z, t).basis) < n:
-        t += 1
     out = []
     prev_basis = ()
-    for d in range(1, t + 2):
-        basis = graded_piece(Z, d).basis
-        grown = _shifted_rank(prev_basis, d)
-        if len(basis) > grown:
-            out.append(d)
-        prev_basis = basis
+    for piece in hilbert_pieces(Z):
+        if len(piece.basis) > _shifted_rank(prev_basis, piece.degree):
+            out.append(piece.degree)
+        prev_basis = piece.basis
     return out
 
 

@@ -327,7 +327,10 @@ class Ideal:
         return not _nf(_int_from_poly(p, keyf), self._int_basis(), self.order)
 
     def contains_ideal(self, other: "Ideal") -> bool:
-        return all(self.contains(g) for g in other.groebner())
+        """Any generating set of other decides, so this starts no Groebner
+        computation on it: its reduced basis if cached, else its generators."""
+        gens = other.generators if other._gb is None else other._gb
+        return all(self.contains(g) for g in gens)
 
     def leading_exponents(self):
         return tuple(g.leading_monomial(self.order) for g in self.groebner())

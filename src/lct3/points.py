@@ -1,6 +1,11 @@
 """Arrangements of lines through the origin, encoded by their direction
-points in the projective plane: saturated ideals, graded pieces of the
-interpolation problem, and symbolic powers."""
+points in the projective plane: graded pieces of the interpolation problem,
+the saturated ideal they generate, and symbolic powers.
+
+The pieces (I_Z)_d are computed once per arrangement, for d = 0, ..., t + 1
+with t the first degree in which Z imposes n = |Z| conditions.  I_Z is
+generated in degrees <= t + 1 (Eisenbud, The Geometry of Syzygies, ch. 4),
+so these pieces span it."""
 
 from __future__ import annotations
 
@@ -74,6 +79,10 @@ class GradedPiece:
     degree: int
     basis: tuple  # of homogeneous Poly
 
+    def codim(self) -> int:
+        """Conditions the points impose in this degree: C(d+2, 2) - dim."""
+        return (self.degree + 1) * (self.degree + 2) // 2 - len(self.basis)
+
 
 def point_prime(p: PointP2) -> Ideal:
     """The ideal of a single point: two canonical independent linear forms
@@ -109,17 +118,29 @@ def graded_piece(Z: PointSet, d: int) -> GradedPiece:
     return GradedPiece(d, tuple(basis))
 
 
-# Entries kept by each arrangement cache (ideal_of_points, symbolic_power,
-# envelope_report, classify): ample for reuse within one computation, and
+# Entries kept by each arrangement cache (hilbert_pieces, ideal_of_points,
+# symbolic_power, classify): ample for reuse within one computation, and
 # bounded so a long-lived process does not keep every arrangement it saw.
 CACHE_SIZE = 128
 
 
 @lru_cache(maxsize=CACHE_SIZE)
+def hilbert_pieces(Z: PointSet) -> tuple:
+    """graded_piece(Z, d) for d = 0, ..., t + 1, where t is the first degree
+    in which Z imposes len(Z) conditions."""
+    pieces = []
+    while len(pieces) < 2 or pieces[-2].codim() < len(Z):
+        pieces.append(graded_piece(Z, len(pieces)))
+    return tuple(pieces)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def ideal_of_points(Z: PointSet) -> Ideal:
     """The saturated homogeneous ideal of Z (equivalently of the cone over
-    Z in affine 3-space), as the intersection of the point primes."""
-    return reduce(ideal_intersect, (point_prime(p) for p in Z))
+    Z in affine 3-space), generated by its pieces of degree <= t + 1 and
+    kept as its reduced grevlex basis."""
+    forms = [f for piece in hilbert_pieces(Z) for f in piece.basis]
+    return Ideal._seeded(Ideal(forms, nvars=3).groebner(), nvars=3)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -159,9 +180,7 @@ def is_rank_general(Z: PointSet) -> bool:
     n = len(Z)
     d, _ = expected_interpolation_data(n)
     for t in range(1, d + 2):
-        space = (t + 1) * (t + 2) // 2
-        expected = max(0, space - n)
-        if len(graded_piece(Z, t).basis) != expected:
+        if graded_piece(Z, t).codim() != min(n, (t + 1) * (t + 2) // 2):
             return False
     return True
 

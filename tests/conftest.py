@@ -1,8 +1,21 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
 from lct3 import PointSet, general_points
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty every lru_cache found in the lct3 modules, so a test that
+    counts work sees one computation from a cold start.  The caches are
+    found by looking, so moving one does not touch the tests."""
+    for name, module in list(sys.modules.items()):
+        if name == "lct3" or name.startswith("lct3."):
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -219,7 +219,9 @@ def test_generator_requires_seed(tmp_path, capsys):
     assert "seed" in err
 
 
-def test_classify_analyses_one_chart_of_one_envelope(tmp_path, capsys, monkeypatch):
+def test_classify_analyses_one_chart_of_one_envelope(
+    tmp_path, capsys, monkeypatch, cold_caches
+):
     # each fact once: classify and the CLI document read one stored report,
     # and for general points the chart z = 1 decides it alone
     from lct3 import envelopes, zerodim
@@ -232,8 +234,6 @@ def test_classify_analyses_one_chart_of_one_envelope(tmp_path, capsys, monkeypat
     monkeypatch.setattr(
         zerodim, "_chart_reduced", lambda J: charts.append(J) or chart_fn(J)
     )
-    envelopes.classify.cache_clear()
-    envelopes.envelope_report.cache_clear()
     path = write(tmp_path, {"generator": {"general": 8, "seed": 42}})
     code, doc, _ = run(capsys, ["classify", path])
     assert code == 0

@@ -8,6 +8,7 @@ from lct3 import (
     classify,
     envelope,
     envelope_report,
+    general_points,
     generator_degrees,
     geometric_generating_degrees,
     graded_piece,
@@ -83,7 +84,7 @@ def test_classify_three_ggds(eleven_on_cubic):
     assert c.reason == "3 geometric generating degrees"
 
 
-def test_unread_reducedness_is_not_computed(monkeypatch, eleven_on_cubic):
+def test_unread_reducedness_is_not_computed(monkeypatch, cold_caches, eleven_on_cubic):
     # three generating degrees: no intermediate envelope is examined, so the
     # finite-scheme envelopes of the chain get a degree but no chart analysis
     from lct3 import envelopes, zerodim
@@ -93,8 +94,6 @@ def test_unread_reducedness_is_not_computed(monkeypatch, eleven_on_cubic):
     monkeypatch.setattr(
         zerodim, "_chart_reduced", lambda J: charts.append(J) or chart_fn(J)
     )
-    envelopes.classify.cache_clear()
-    envelopes.envelope_report.cache_clear()
     c = classify(eleven_on_cubic)
     assert c.reason == "3 geometric generating degrees"
     assert envelopes.FINITE_SCHEME in [e.descriptor for e in c.report.entries]
@@ -193,23 +192,16 @@ def test_case_b_unique_curve(six_on_conic, three_collinear):
 # Noise-free gate on classify: fresh Groebner bases (_buchberger runs) for
 # one classification from empty arrangement caches.  The counts may only go
 # down.
-GATE_BUCHBERGER = {"eight-general": 39, "six-on-conic": 28}
+GATE_BUCHBERGER = {"eight-general": 25, "six-on-conic": 19}
 
 
 @pytest.mark.parametrize("name", sorted(GATE_BUCHBERGER))
 def test_classify_groebner_runs_are_pinned(
-    monkeypatch, name, eight_general, six_on_conic
+    monkeypatch, cold_caches, name, eight_general, six_on_conic
 ):
-    from lct3 import envelopes, ideals, points
+    from lct3 import ideals
 
     Z_ = {"eight-general": eight_general, "six-on-conic": six_on_conic}[name]
-    for cached in (
-        envelopes.classify,
-        envelopes.envelope_report,
-        points.ideal_of_points,
-        points.symbolic_power,
-    ):
-        cached.cache_clear()
     runs = []
     buchberger = ideals._buchberger
 
@@ -220,3 +212,25 @@ def test_classify_groebner_runs_are_pinned(
     monkeypatch.setattr(ideals, "_buchberger", counted)
     classify(Z_)
     assert len(runs) == GATE_BUCHBERGER[name], len(runs)
+
+
+def test_classify_computes_each_graded_piece_once(monkeypatch, cold_caches):
+    # the pieces (I_Z)_d are the primary data: one classify computes each
+    # degree's piece once and derives I_Z, the envelope chain and the
+    # generator degrees from them
+    from lct3 import envelopes, points
+
+    Z_ = general_points(8, 42)  # drawn before counting: it ranks pieces too
+    degrees = []
+    piece = points.graded_piece
+
+    def counted(Z, d):
+        degrees.append(d)
+        return piece(Z, d)
+
+    for module in (points, envelopes):
+        monkeypatch.setattr(module, "graded_piece", counted)
+    c = classify(Z_)
+    assert c.kind == "C"
+    assert degrees == list(range(len(points.hilbert_pieces(Z_))))
+    assert len(degrees) == 5

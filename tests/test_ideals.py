@@ -316,6 +316,21 @@ def test_integer_products_equal_rational_products():
             assert all(c.denominator == 1 for c in g.terms.values())
 
 
+def test_contains_ideal_starts_no_groebner_run_on_its_argument():
+    rng = random.Random(43)
+    answers = set()
+    for _ in range(20):
+        I = Ideal([_random_rational_poly(rng) for _ in range(rng.randint(1, 3))])
+        K = Ideal([_random_rational_poly(rng) for _ in range(rng.randint(1, 2))])
+        for J in (I, K, ideal_sum(I, K)):
+            P = ideal_power(I, 2)
+            answer = J.contains_ideal(P)
+            assert P._gb is None
+            assert answer == all(J.contains(g) for g in P.groebner())
+            answers.add(answer)
+    assert answers == {True, False}
+
+
 def test_heap_key_reverses_the_order():
     rng = random.Random(8)
     for order in (GREVLEX, LEX, elimination_order(1)):

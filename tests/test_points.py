@@ -1,6 +1,8 @@
 import random
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lct3 import (
     Ideal,
@@ -13,6 +15,7 @@ from lct3 import (
     graded_piece,
     hilbert_function,
     ideal_equal,
+    ideal_intersect,
     ideal_of_points,
     ideal_power,
     point_prime,
@@ -120,3 +123,45 @@ def test_interpolation_dimension_for_random_sets():
 def test_general_points_deterministic():
     assert general_points(7, 123) == general_points(7, 123)
     assert is_rank_general(general_points(9, 77))
+
+
+def reference_ideal_of_points(Z_):
+    """I_Z as the intersection of the point primes."""
+    return reduce(ideal_intersect, (point_prime(p) for p in Z_))
+
+
+coordinate = st.integers(-2, 2)
+# small coordinates put many triples of points on a line
+grid_point = st.tuples(coordinate, coordinate, coordinate)
+conic_point = st.integers(-3, 3).map(lambda t: (1, t, t * t))  # y^2 = x*z
+at_infinity = st.tuples(coordinate, coordinate).map(lambda t: (*t, 0))  # z = 0
+# one coordinate set to zero: a point on a coordinate line
+on_axis_line = st.tuples(coordinate, coordinate, st.integers(0, 2)).map(
+    lambda t: tuple(0 if i == t[2] else c for i, c in enumerate((t[0], t[1], 1)))
+)
+
+
+@st.composite
+def special_point_sets(draw):
+    """One to eight distinct points, mixing collinear subsets, points on a
+    conic, points on z = 0 and points on the coordinate lines."""
+    kinds = st.one_of(grid_point, conic_point, at_infinity, on_axis_line)
+    n = draw(st.sampled_from(range(1, 9)))
+    raw = draw(
+        st.lists(
+            kinds.filter(any),
+            min_size=n,
+            max_size=n,
+            unique_by=lambda t: PointP2.of(*t),
+        )
+    )
+    return PointSet.of(raw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(Z_=special_point_sets())
+def test_ideal_of_points_is_the_intersection_of_point_primes(Z_):
+    I = ideal_of_points(Z_)
+    assert I.groebner() == reference_ideal_of_points(Z_).groebner()
+    # ideal_product multiplies generators, so they are the reduced basis
+    assert I.generators == I.groebner()
