@@ -1,26 +1,25 @@
 """Degree envelopes of a planar point set, geometric generating degrees,
 minimal-generator degrees, and the case classification driving the
-multiplier-ideal formulas."""
+multiplier-ideal formulas.
+
+The d-envelope Z_d is cut out by the degree-d forms through Z.  Its
+saturated ideals increase with d inside I_Z, and two nested saturated
+ideals with one Hilbert polynomial are equal (Eisenbud, Commutative
+Algebra, 15.10), so the Hilbert polynomial of the unsaturated piece ideal
+((I_Z)_d) tells whether Z_d shrank, whether it is Z, and its dimension and
+degree.  Only a finite intermediate envelope is saturated."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .ideals import (
-    Ideal,
-    ideal_equal,
-    ideal_quotient,
-    maximal_ideal,
-    saturate,
-    zero_ideal,
-)
+from .ideals import Ideal, ideal_quotient, maximal_ideal, saturate
 from .linalg import RatMatrix
 from .points import CACHE_SIZE, PointSet, graded_piece, hilbert_pieces, ideal_of_points
 from .polynomials import Poly, monomials_of_degree
-from .zerodim import projective_degree, zero_dim_report
+from .zerodim import hilbert_polynomial, zero_dim_report
 
-ALL_OF_PLANE = "all-of-plane"
 CURVE = "curve"
 FINITE_SCHEME = "finite-scheme"
 EQUALS_Z = "equals-Z"
@@ -30,7 +29,6 @@ MIXED = "mixed-dimension"
 @dataclass(frozen=True)
 class EnvelopeEntry:
     degree: int
-    ideal: Ideal  # saturated ideal of the d-envelope
     descriptor: str
 
 
@@ -68,35 +66,33 @@ def envelope(Z: PointSet, d: int) -> Ideal:
     return saturate(Ideal(graded_piece(Z, d).basis, nvars=3), maximal_ideal())
 
 
-def _descriptor(env: Ideal, IZ: Ideal) -> str:
-    """The envelope's descriptor, from its dimension and degree alone;
-    reducedness is decided only where classify reads it."""
-    if env.is_zero():
-        return ALL_OF_PLANE
-    if ideal_equal(env, IZ):
+def _descriptor(hp, n: int) -> str:
+    """The envelope's descriptor from its Hilbert polynomial a*t + b: a
+    plane curve of degree a has b = a(3 - a)/2, and a curve with extra
+    points has a larger b."""
+    a, b = hp
+    if hp == (0, n):
         return EQUALS_Z
-    if len(env.groebner()) == 1:
-        return CURVE
-    return FINITE_SCHEME if projective_degree(env) else MIXED
+    if a == 0:
+        return FINITE_SCHEME
+    return CURVE if 2 * b == a * (3 - a) else MIXED
 
 
 def envelope_report(Z: PointSet) -> EnvelopeReport:
-    """Saturate the nonzero graded pieces of I_Z in turn until the envelope
-    is Z itself (at the latest the last piece), noting each strict shrink."""
-    IZ = ideal_of_points(Z)
-    entries = []
-    ggds = []
-    previous = zero_ideal(3)
+    """Take the Hilbert polynomial of each nonzero graded piece of I_Z in
+    turn until the envelope is Z itself (at the latest the last piece),
+    noting each strict shrink."""
+    entries, ggds, previous = [], [], None
     for piece in hilbert_pieces(Z):
         if not piece.basis:
             continue
-        env = saturate(Ideal(piece.basis, nvars=3), maximal_ideal())
-        if not ideal_equal(env, previous):
+        hp = hilbert_polynomial(Ideal(piece.basis, nvars=3))
+        if hp != previous:
             ggds.append(piece.degree)
-        entries.append(EnvelopeEntry(piece.degree, env, _descriptor(env, IZ)))
-        if ideal_equal(env, IZ):
+        entries.append(EnvelopeEntry(piece.degree, _descriptor(hp, len(Z))))
+        if hp == (0, len(Z)):
             break
-        previous = env
+        previous = hp
     return EnvelopeReport(tuple(entries), tuple(ggds), tuple(generator_degrees(Z)))
 
 
@@ -136,13 +132,12 @@ def _shifted_rank(basis, d: int) -> int:
 
 
 def is_smooth_plane_curve(F: Poly) -> bool:
-    """Is the plane curve {F = 0} smooth?  Checked by saturating the ideal
-    of F and its partials: smooth iff nothing survives but the irrelevant
-    locus."""
+    """Is the plane curve {F = 0} smooth?  Smooth iff F and its partials
+    vanish together nowhere, i.e. their ideal has Hilbert polynomial 0."""
     if F.is_zero() or not F.is_homogeneous() or F.total_degree() < 1:
         raise ValueError("expected a nonzero homogeneous form of positive degree")
     J = Ideal([F, F.diff(0), F.diff(1), F.diff(2)], nvars=3)
-    return saturate(J, maximal_ideal()).is_unit()
+    return hilbert_polynomial(J) == (0, 0)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -160,12 +155,12 @@ def classify(Z: PointSet) -> Classification:
             report=report,
         )
     d, e = ggds
-    intermediate = next(en for en in report.entries if en.degree == d)
-    env = intermediate.ideal
-    if intermediate.descriptor == CURVE:
-        form = env.groebner()[0]
-        if form.total_degree() != d:
-            raise RuntimeError("principal envelope of unexpected degree; engine bug")
+    descriptor = report.entries[0].descriptor
+    piece = hilbert_pieces(Z)[d]
+    if descriptor == CURVE:
+        # the curve's form vanishes on Z in degree <= d, and d is the first
+        # nonzero piece, so the piece is spanned by that form
+        (form,) = piece.basis
         if is_smooth_plane_curve(form):
             return Classification(kind="B", d=d, e=e, curve_form=form, report=report)
         return Classification(
@@ -173,7 +168,8 @@ def classify(Z: PointSet) -> Classification:
             reason="intermediate envelope is a singular curve",
             report=report,
         )
-    if intermediate.descriptor == FINITE_SCHEME:
+    if descriptor == FINITE_SCHEME:
+        env = saturate(Ideal(piece.basis, nvars=3), maximal_ideal())
         zero_dim = zero_dim_report(env)
         if not zero_dim.is_reduced:
             return Classification(
@@ -181,19 +177,17 @@ def classify(Z: PointSet) -> Classification:
                 reason="intermediate envelope is a non-reduced finite scheme",
                 report=report,
             )
-        IZ = ideal_of_points(Z)
         # env is saturated, so env : IZ is too
-        W = ideal_quotient(env, IZ)
+        W = ideal_quotient(env, ideal_of_points(Z))
         # Z_d is reduced and contains Z, so W is the rest of its points
-        zd_degree = zero_dim.degree
         return Classification(
             kind="C",
             d=d,
             e=e,
             w_ideal=W,
             zd_ideal=env,
-            zd_degree=zd_degree,
-            w_degree=zd_degree - len(Z),
+            zd_degree=zero_dim.degree,
+            w_degree=zero_dim.degree - len(Z),
             report=report,
         )
     return Classification(

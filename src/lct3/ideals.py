@@ -215,15 +215,9 @@ def _autoreduce(G, order: MonomialOrder):
             continue
         kept.append(G[i])
         kept_lts.append(lt)
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(kept)):
-            others = [(kept_lts[k], kept[k]) for k in range(len(kept)) if k != idx]
-            r = _nf(kept[idx], others, order)
-            if r != kept[idx]:
-                kept[idx] = r
-                changed = True
+    # a tail term lies below its own lead, so only smaller leads divide it
+    for idx in range(1, len(kept)):
+        kept[idx] = _nf(kept[idx], list(zip(kept_lts[:idx], kept[:idx])), order)
     pairs = sorted(zip(kept_lts, kept), key=lambda t: keyf(t[0]), reverse=True)
     return [p for _, p in pairs]
 
@@ -442,12 +436,8 @@ def ideal_quotient(I: Ideal, J: Ideal) -> Ideal:
     parts = []
     for g in J.groebner():
         K = ideal_intersect(I, Ideal([g], nvars=I.nvars, order=I.order))
-        quot = []
-        for h in K.groebner():
-            q = h.exact_div(g)
-            if q is None:
-                raise ArithmeticError("quotient division failed; engine bug")
-            quot.append(q)
+        # K lies in (g), so g divides each of its elements exactly
+        quot = [h.exact_div(g) for h in K.groebner()]
         parts.append(Ideal(quot, nvars=I.nvars, order=I.order))
     return _fold(ideal_intersect, parts)
 

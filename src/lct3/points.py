@@ -175,14 +175,18 @@ def expected_interpolation_data(n: int):
 
 
 def is_rank_general(Z: PointSet) -> bool:
-    """Do the points impose independent conditions in every degree up to
-    (and one past) the first interpolation degree?"""
+    """Do the points impose independent conditions in every degree?  With
+    t0 the least t where C(t+2, 2) >= n, no form of degree t0 - 1 through
+    Z rules out one of lower degree, and n conditions in degree t0 persist
+    above it, so those two degrees decide."""
     n = len(Z)
-    d, _ = expected_interpolation_data(n)
-    for t in range(1, d + 2):
-        if graded_piece(Z, t).codim() != min(n, (t + 1) * (t + 2) // 2):
-            return False
-    return True
+    t0 = 0
+    while (t0 + 1) * (t0 + 2) // 2 < n:
+        t0 += 1
+    return all(
+        graded_piece(Z, t).codim() == min(n, (t + 1) * (t + 2) // 2)
+        for t in range(max(t0 - 1, 0), t0 + 1)
+    )
 
 
 def general_points(n: int, seed: int) -> PointSet:

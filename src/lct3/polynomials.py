@@ -245,24 +245,28 @@ class Poly:
     # -- divisibility ------------------------------------------------------
 
     def exact_div(self, q: "Poly"):
-        """Return self / q when q divides self exactly, else None."""
+        """Return self / q when q divides self exactly, else None, by long
+        division on a working dict."""
         self._check_ring(q)
         if q.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return self
         qlt = q.leading_monomial()
         qlc = q.terms[qlt]
-        rem = self
+        work = dict(self.terms)
         quot: dict = {}
-        while not rem.is_zero():
-            lt = rem.leading_monomial()
-            if any(a < b for a, b in zip(lt, qlt)):
-                return None
+        while work:
+            lt = max(work, key=grevlex_key)
             e = tuple(a - b for a, b in zip(lt, qlt))
-            c = rem.terms[lt] / qlc
-            quot[e] = c
-            rem = rem - Poly.monomial(e, c) * q
+            if min(e) < 0:
+                return None
+            c = quot[e] = work[lt] / qlc
+            for f, d in q.terms.items():
+                m = tuple(a + b for a, b in zip(e, f))
+                v = work.get(m, 0) - c * d
+                if v:
+                    work[m] = v
+                else:
+                    del work[m]
         return Poly(quot, self.nvars)
 
     # -- ring changes ------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Zero-dimensional analysis of saturated homogeneous ideals: projective
-degree via Hilbert-function stabilization, reducedness via the rank of the
+"""Zero-dimensional analysis of saturated homogeneous ideals: Hilbert
+functions and polynomials, projective degree, reducedness via the rank of the
 Hermite trace form on the standard affine charts."""
 
 from __future__ import annotations
@@ -37,29 +37,35 @@ def zero_dim_report(I: Ideal) -> ZeroDimReport:
     return ZeroDimReport(True, degree, _charts_reduced(I, degree))
 
 
-def projective_degree(I: Ideal) -> int:
-    """Length of the scheme of a saturated homogeneous ideal in three
-    variables; 0 when the scheme is not zero-dimensional.
+def hilbert_polynomial(I: Ideal):
+    """(a, b) with HP(S/I)(t) = a*t + b, for a nonzero homogeneous ideal in
+    three variables.  The Taylor resolution of in(I) writes HF(S/in(I)) as
+    a signed sum of binomials C(t - D + 2, 2), D the degrees of lcms of
+    leading terms, each polynomial in t from D - 2 on; so HF = HP from
+    t0 = deg lcm(in I) - 2 on, and two values there determine it."""
+    if I.nvars != 3:
+        raise ValueError("expected an ideal in the homogeneous coordinate ring")
+    if I.is_zero():
+        raise ValueError("the zero ideal has a quadratic Hilbert polynomial")
+    lcm = [max(e[v] for e in I.leading_exponents()) for v in range(3)]
+    t0 = max(sum(lcm) - 2, 0)
+    h0 = hilbert_function(I, t0)
+    a = hilbert_function(I, t0 + 1) - h0
+    return a, h0 - a * t0
 
-    For a saturated ideal the Hilbert function of S/I is non-decreasing and,
-    once two consecutive values agree, constant; a zero-dimensional scheme is
-    exactly one with an eventually constant Hilbert function, whose constant
-    is the degree.
-    """
+
+def projective_degree(I: Ideal) -> int:
+    """Length of the scheme of a homogeneous ideal in three variables; 0
+    when the scheme is not zero-dimensional (a constant Hilbert polynomial
+    is the length)."""
     if I.nvars != 3:
         raise ValueError("expected an ideal in the homogeneous coordinate ring")
     if I.is_unit():
         raise ValueError("the unit ideal defines the empty scheme")
     if I.is_zero():
         return 0
-    bound = sum(sum(e) for e in I.leading_exponents()) + 2
-    prev = None
-    for t in range(bound + 1):
-        h = hilbert_function(I, t)
-        if prev is not None and h == prev:
-            return h
-        prev = h
-    return 0
+    a, b = hilbert_polynomial(I)
+    return b if a == 0 else 0
 
 
 def _charts_reduced(I: Ideal, degree: int) -> bool:

@@ -1,7 +1,12 @@
+from itertools import count
+
 import pytest
+from hypothesis import example, given, settings
+from test_points import special_point_sets
 
 from lct3 import (
     Ideal,
+    PointSet,
     X,
     Y,
     Z,
@@ -126,7 +131,9 @@ def test_envelope_chain_monotone(supported_arrangements, eleven_on_cubic):
     for Z_ in sets:
         entries = envelope_report(Z_).entries
         for earlier, later in zip(entries, entries[1:]):
-            assert later.ideal.contains_ideal(earlier.ideal)
+            assert envelope(Z_, later.degree).contains_ideal(
+                envelope(Z_, earlier.degree)
+            )
 
 
 def test_classify_singular_curve_envelope():
@@ -175,7 +182,7 @@ def test_classify_nonreduced_finite_envelope():
     assert c.kind == "unsupported"
     assert c.reason == "intermediate envelope is a non-reduced finite scheme"
     assert c.report.ggds == (3, 4)
-    report = zero_dim_report(c.report.entries[0].ideal)
+    report = zero_dim_report(envelope(Z_, c.report.entries[0].degree))
     assert report.is_zero_dimensional and report.degree == 9 and not report.is_reduced
 
 
@@ -192,7 +199,7 @@ def test_case_b_unique_curve(six_on_conic, three_collinear):
 # Noise-free gate on classify: fresh Groebner bases (_buchberger runs) for
 # one classification from empty arrangement caches.  The counts may only go
 # down.
-GATE_BUCHBERGER = {"eight-general": 25, "six-on-conic": 19}
+GATE_BUCHBERGER = {"eight-general": 20, "six-on-conic": 3}
 
 
 @pytest.mark.parametrize("name", sorted(GATE_BUCHBERGER))
@@ -234,3 +241,79 @@ def test_classify_computes_each_graded_piece_once(monkeypatch, cold_caches):
     assert c.kind == "C"
     assert degrees == list(range(len(points.hilbert_pieces(Z_))))
     assert len(degrees) == 5
+
+
+# Noise-free gate on classify: saturations per classification.  The chain
+# is read off Hilbert polynomials, so only a Case C intermediate envelope
+# (or a non-reduced finite one) is saturated.
+GATE_SATURATE = {
+    "coordinate-axes": 0,
+    "three-collinear": 0,
+    "six-on-conic": 0,
+    "six-general": 0,
+    "eleven-on-cubic": 0,
+    "eight-general": 1,
+}
+
+
+def test_classify_saturates_only_the_case_c_envelope(
+    monkeypatch, cold_caches, supported_arrangements, eleven_on_cubic
+):
+    from lct3 import envelopes, ideals
+
+    sets = dict(supported_arrangements, **{"eleven-on-cubic": eleven_on_cubic})
+    calls = []
+    original = ideals.saturate
+
+    def counted(I, J):
+        calls.append(I)
+        return original(I, J)
+
+    for module in (ideals, envelopes):
+        monkeypatch.setattr(module, "saturate", counted)
+    counts = {}
+    for name, Z_ in sets.items():
+        calls.clear()
+        classify(Z_)
+        counts[name] = len(calls)
+    assert counts == GATE_SATURATE
+    assert classify(sets["eight-general"]).kind == "C"
+
+
+def reference_chain(Z_):
+    """(ggds, descriptors) of the envelope chain from saturated envelopes:
+    a ggd where the envelope changes, stopping when it is Z."""
+    IZ = ideal_of_points(Z_)
+    ggds, descriptors = [], []
+    previous = None
+    for d in count():
+        if not graded_piece(Z_, d).basis:
+            continue
+        env = envelope(Z_, d)
+        if previous is None or not ideal_equal(env, previous):
+            ggds.append(d)
+        if ideal_equal(env, IZ):
+            descriptors.append("equals-Z")
+            break
+        if len(env.groebner()) == 1:
+            descriptors.append("curve")
+        elif zero_dim_report(env).is_zero_dimensional:
+            descriptors.append("finite-scheme")
+        else:
+            descriptors.append("mixed-dimension")
+        previous = env
+    return ggds, descriptors
+
+
+@settings(max_examples=60, deadline=None)
+@given(Z_=special_point_sets())
+# one set per descriptor: points, a curve, a finite scheme, mixed dimension
+@example(Z_=PointSet.of([(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+@example(Z_=PointSet.of([(1, t, t * t) for t in (0, 1, -1, 2, -2, 3)]))
+@example(Z_=general_points(8, 8))
+@example(Z_=PointSet.of([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)]))
+def test_envelope_report_matches_saturated_chain(Z_):
+    report = envelope_report(Z_)
+    ggds, descriptors = reference_chain(Z_)
+    assert list(report.ggds) == ggds
+    assert [e.descriptor for e in report.entries] == descriptors

@@ -2,7 +2,7 @@ import random
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lct3 import (
     Ideal,
@@ -165,3 +165,41 @@ def test_ideal_of_points_is_the_intersection_of_point_primes(Z_):
     assert I.groebner() == reference_ideal_of_points(Z_).groebner()
     # ideal_product multiplies generators, so they are the reduced basis
     assert I.generators == I.groebner()
+
+
+def rank_general_in_every_degree(Z_):
+    """n points impose independent conditions in degree n - 1, so degrees
+    0 ... n - 1 are every degree."""
+    n = len(Z_)
+    return all(
+        graded_piece(Z_, t).codim() == min(n, (t + 1) * (t + 2) // 2)
+        for t in range(n)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(Z_=special_point_sets())
+@example(Z_=general_points(9, 77))
+@example(Z_=PointSet.of([(1, 0, 0), (0, 1, 0), (1, 1, 0)]))
+# seven points on a conic impose 7 conditions on cubics: only degree 2 fails
+@example(Z_=PointSet.of([(1, t, t * t) for t in range(-3, 4)]))
+def test_is_rank_general_checks_every_degree(Z_):
+    assert is_rank_general(Z_) is rank_general_in_every_degree(Z_)
+
+
+def test_is_rank_general_on_random_sets():
+    # grid points in [-2, 2]^3 often fall into special position: both
+    # answers occur
+    rng = random.Random(468)
+    answers = set()
+    for _ in range(40):
+        n = rng.randint(1, 10)
+        triples = set()
+        while len(triples) < n:
+            t = tuple(rng.randint(-2, 2) for _ in range(3))
+            if any(t):
+                triples.add(PointP2.of(*t).coords)
+        Z_ = PointSet.of(sorted(triples))
+        answers.add(is_rank_general(Z_))
+        assert is_rank_general(Z_) is rank_general_in_every_degree(Z_)
+    assert answers == {True, False}

@@ -16,8 +16,12 @@ from lct3 import (
     ideal_intersect,
     ideal_of_points,
     ideal_power,
+    maximal_ideal,
+    monomials_of_degree,
     point_prime,
     radical_zero_dim,
+    saturate,
+    unit_ideal,
     variables,
     zero_dim_report,
 )
@@ -183,3 +187,48 @@ def test_modular_rank_falls_back_to_exact(a):
     # x^2 = a z^2 on the line y = 0: two distinct points for any a != 0
     report = zero_dim_report(Ideal([X * X - a * Z * Z, Y]))
     assert report.degree == 2 and report.is_reduced
+
+
+def random_form(rng, degree):
+    """A homogeneous form with a few small random integer coefficients."""
+    monos = monomials_of_degree(degree)
+    terms = {e: rng.randint(-3, 3) for e in rng.sample(monos, min(3, len(monos)))}
+    return Poly(terms, 3)
+
+
+def random_ideals(rng):
+    """Homogeneous ideals of each kind the Hilbert polynomial must handle:
+    unsaturated, saturated, m-primary and the unit ideal."""
+    for _ in range(12):
+        forms = [random_form(rng, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+        I = Ideal(forms, nvars=3)
+        if I.is_zero():
+            continue
+        yield I
+        yield saturate(I, maximal_ideal())
+    yield Ideal([X**2, Y**3, Z**2, X * Y * Z])  # m-primary
+    yield Ideal([X**2 + Y * Z, Y**2 - X * Z, Z**3])  # m-primary
+    yield unit_ideal(3)
+
+
+def test_hilbert_polynomial_agrees_with_hilbert_function_past_the_bound():
+    rng = random.Random(2718)
+    for I in random_ideals(rng):
+        a, b = zerodim.hilbert_polynomial(I)
+        lcm = [max(e[v] for e in I.leading_exponents()) for v in range(3)]
+        start = max(sum(lcm) - 2, 0)
+        for t in range(start, start + 15):
+            assert hilbert_function(I, t) == a * t + b, (I, t)
+        m_primary = saturate(I, maximal_ideal()).is_unit()
+        assert ((a, b) == (0, 0)) is m_primary
+
+
+def test_hilbert_polynomial_of_known_ideals():
+    assert zerodim.hilbert_polynomial(Ideal([X**2, Y**3, Z**2])) == (0, 0)
+    assert zerodim.hilbert_polynomial(unit_ideal(3)) == (0, 0)
+    # a plane curve of degree a: a*t + a(3 - a)/2
+    assert zerodim.hilbert_polynomial(Ideal([X**3 + Y**3 + Z**3])) == (3, 0)
+    # a line plus a point off it
+    assert zerodim.hilbert_polynomial(Ideal([X * Z, Y * Z])) == (1, 2)
+    with pytest.raises(ValueError):
+        zerodim.hilbert_polynomial(Ideal([], nvars=3))
