@@ -47,7 +47,7 @@ def hilbert_polynomial(I: Ideal):
         raise ValueError("expected an ideal in the homogeneous coordinate ring")
     if I.is_zero():
         raise ValueError("the zero ideal has a quadratic Hilbert polynomial")
-    lcm = [max(e[v] for e in I.leading_exponents()) for v in range(3)]
+    lcm = map(max, zip(*I.leading_exponents()))  # exponents of lcm(in I)
     t0 = max(sum(lcm) - 2, 0)
     h0 = hilbert_function(I, t0)
     a = hilbert_function(I, t0 + 1) - h0

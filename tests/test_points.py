@@ -186,20 +186,3 @@ def rank_general_in_every_degree(Z_):
 def test_is_rank_general_checks_every_degree(Z_):
     assert is_rank_general(Z_) is rank_general_in_every_degree(Z_)
 
-
-def test_is_rank_general_on_random_sets():
-    # grid points in [-2, 2]^3 often fall into special position: both
-    # answers occur
-    rng = random.Random(468)
-    answers = set()
-    for _ in range(40):
-        n = rng.randint(1, 10)
-        triples = set()
-        while len(triples) < n:
-            t = tuple(rng.randint(-2, 2) for _ in range(3))
-            if any(t):
-                triples.add(PointP2.of(*t).coords)
-        Z_ = PointSet.of(sorted(triples))
-        answers.add(is_rank_general(Z_))
-        assert is_rank_general(Z_) is rank_general_in_every_degree(Z_)
-    assert answers == {True, False}
