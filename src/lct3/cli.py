@@ -29,6 +29,7 @@ EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
 EXIT_VERIFY = 4
 
+# Desk scale: the most points an arrangement may have, explicit or generated.
 MAX_GENERATED_POINTS = 15
 
 
@@ -109,6 +110,8 @@ def load_arrangement(path: str, seed_override=None):
         raw = doc["points"]
         if not isinstance(raw, list) or not raw:
             raise InputError("field 'points': expected a nonempty list")
+        if len(raw) > MAX_GENERATED_POINTS:
+            raise InputError(f"field 'points': at most {MAX_GENERATED_POINTS} points")
         triples = []
         for i, entry in enumerate(raw):
             if not isinstance(entry, list) or len(entry) != 3:

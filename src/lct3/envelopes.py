@@ -17,7 +17,7 @@ from functools import lru_cache
 from .ideals import Ideal, ideal_quotient, maximal_ideal, saturate
 from .linalg import RatMatrix
 from .points import CACHE_SIZE, PointSet, graded_piece, hilbert_pieces, ideal_of_points
-from .polynomials import Poly, monomials_of_degree
+from .polynomials import Poly, monomials_of_degree, variables
 from .zerodim import hilbert_polynomial, zero_dim_report
 
 CURVE = "curve"
@@ -115,20 +115,9 @@ def generator_degrees(Z: PointSet):
 
 def _shifted_rank(basis, d: int) -> int:
     """Rank of {x*f, y*f, z*f : f in basis} inside the degree-d monomials."""
-    if not basis:
-        return 0
     monos = monomials_of_degree(d)
-    index = {e: i for i, e in enumerate(monos)}
-    rows = []
-    for f in basis:
-        for v in range(3):
-            row = [0] * len(monos)
-            for e, c in f.terms.items():
-                shifted = list(e)
-                shifted[v] += 1
-                row[index[tuple(shifted)]] = c
-            rows.append(row)
-    return RatMatrix(rows).rank()
+    shifted = [v * f for f in basis for v in variables(3)]
+    return RatMatrix([[g.terms.get(e, 0) for e in monos] for g in shifted]).rank()
 
 
 def is_smooth_plane_curve(F: Poly) -> bool:

@@ -1,8 +1,51 @@
-"""Exact linear algebra over the rationals (dense, desk scale)."""
+"""Exact linear algebra over the rationals (dense, desk scale).
+
+Every rank, reduced row echelon form and kernel in lct3 comes from one
+fraction-free Gauss-Jordan elimination, `echelon` (Bareiss, Math. Comp.
+1968), over the integers or modulo a prime.  Pivots taken left to right give
+the reduced row echelon form; right to left, the reduced kernel basis."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+
+
+def _primitive(row, prime):
+    # reduce first: a row that is zero mod p may have content divisible by p
+    if prime is not None:
+        row = [v % prime for v in row]
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
+def echelon(rows, columns, prime=None):
+    """Gauss-Jordan elimination without division, over the integers or,
+    given a prime, modulo it.  Each rational row is first scaled by its
+    common denominator; pivots are tried in the order of `columns`, and
+    each combined row is divided by its content.
+
+    Returns (pivot_rows, pivots): the integer rows in the order their pivot
+    columns were taken, each zero in every other pivot column."""
+    work = []
+    for row in rows:
+        scale = lcm(*(v.denominator for v in row))
+        integral = [v.numerator * (scale // v.denominator) for v in row]
+        work.append(_primitive(integral, prime))
+    done, pivots = [], []
+    for c in columns:
+        i = next((i for i, r in enumerate(work) if r[c]), None)
+        if i is None:
+            continue
+        pivot = work.pop(i)
+        for part in (done, work):
+            for k, r in enumerate(part):
+                if r[c]:
+                    combined = [pivot[c] * x - r[c] * y for x, y in zip(r, pivot)]
+                    part[k] = _primitive(combined, prime)
+        done.append(pivot)
+        pivots.append(c)
+    return done, tuple(pivots)
 
 
 class RatMatrix:
@@ -26,44 +69,28 @@ class RatMatrix:
 
         Returns (matrix, pivot_columns).
         """
-        m = [list(r) for r in self.entries]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            if r == self.rows:
-                break
-            pivot = next((i for i in range(r, self.rows) if m[i][c] != 0), None)
-            if pivot is None:
-                continue
-            m[r], m[pivot] = m[pivot], m[r]
-            inv = 1 / m[r][c]
-            m[r] = [v * inv for v in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-        return RatMatrix(m), tuple(pivots)
+        reduced, pivots = echelon(self.entries, range(self.cols))
+        m = [[Fraction(v, r[p]) for v in r] for r, p in zip(reduced, pivots)]
+        m += [[0] * self.cols] * (self.rows - len(m))
+        return RatMatrix(m), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(echelon(self.entries, range(self.cols))[1])
 
     def kernel_basis(self):
-        """Basis of the right kernel, itself in reduced echelon form."""
-        red, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in pivots]
+        """Basis of the right kernel, itself in reduced echelon form.  With
+        pivots taken right to left, each pivot row is zero right of its
+        pivot, so the vector of a free column f is zero left of f and in
+        every other free column."""
+        reduced, pivots = echelon(self.entries, range(self.cols - 1, -1, -1))
         vecs = []
-        for f in free:
+        for f in sorted(set(range(self.cols)) - set(pivots)):
             v = [Fraction(0)] * self.cols
             v[f] = Fraction(1)
-            for r, p in enumerate(pivots):
-                v[p] = -red.entries[r][f]
-            vecs.append(v)
-        if not vecs:
-            return []
-        echelon, _ = RatMatrix(vecs).rref()
-        return [tuple(row) for row in echelon.entries]
+            for r, p in zip(reduced, pivots):
+                v[p] = Fraction(-r[f], r[p])
+            vecs.append(tuple(v))
+        return vecs
 
     def __eq__(self, other):
         return isinstance(other, RatMatrix) and self.entries == other.entries

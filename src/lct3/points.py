@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from math import lcm
 
 from .ideals import Ideal, ideal_intersect, ideal_power, unit_ideal
 from .linalg import RatMatrix
@@ -85,23 +86,20 @@ class GradedPiece:
 
 
 def point_prime(p: PointP2) -> Ideal:
-    """The ideal of a single point: two canonical independent linear forms
-    (the echelon kernel basis of the 1x3 evaluation matrix)."""
-    matrix = RatMatrix([[c for c in p.coords]])
-    monos = monomials_of_degree(1)
-    forms = [
-        Poly({e: c for e, c in zip(monos, vec)}, 3)
-        for vec in matrix.kernel_basis()
-    ]
-    return Ideal(forms, nvars=3)
+    """The ideal of a single point: its degree-1 graded piece, two canonical
+    independent linear forms."""
+    return Ideal(graded_piece(PointSet((p,)), 1).basis, nvars=3)
 
 
 def evaluation_matrix(Z: PointSet, d: int) -> RatMatrix:
-    """Rows: points of Z; columns: degree-d monomials in grevlex order."""
+    """Rows: points of Z, each scaled to integer coordinates (which scales
+    its row and keeps the kernel); columns: degree-d monomials in grevlex
+    order."""
     monos = monomials_of_degree(d)
     rows = []
     for p in Z:
-        a, b, c = p.coords
+        scale = lcm(*(v.denominator for v in p.coords))
+        a, b, c = (v.numerator * (scale // v.denominator) for v in p.coords)
         rows.append([a**e[0] * b**e[1] * c**e[2] for e in monos])
     return RatMatrix(rows)
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ideals import Ideal, ideal_sum, _divides
-from .linalg import RatMatrix
+from .linalg import RatMatrix, echelon
 from .polynomials import Poly, monomials_of_degree
 
 
@@ -100,7 +100,7 @@ def _chart_reduced(J: Ideal):
     coefficients = [c for g in J.groebner() for c in g.terms.values()]
     if all(c.denominator % TRACE_PRIME for c in coefficients):
         modular = _trace_matrix(J, basis, TRACE_PRIME)
-        if _rank_mod(modular, TRACE_PRIME) == n:
+        if len(echelon(modular, range(n), TRACE_PRIME)[1]) == n:
             return n, True
     return n, RatMatrix(_trace_matrix(J, basis)).rank() == n
 
@@ -205,21 +205,3 @@ def _normal_form(m, reducers, index, keyf, norm) -> dict:
         else:
             out[index[lt]] = c
     return out
-
-
-def _rank_mod(rows, p: int) -> int:
-    """Rank of an integer matrix over the field with p elements."""
-    rows = [list(r) for r in rows]
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][col] * inv % p
-            if f:
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank

@@ -273,3 +273,16 @@ def test_unsupported_message_is_one_line(tmp_path, capsys):
         assert code == 3
         assert doc is None
         assert err == f"lct3: unsupported arrangement: {reason}\n"
+
+
+def test_explicit_points_are_capped(tmp_path, capsys):
+    # explicit input has the generator's cap: 16 points exit 2 before any
+    # computation, 15 are classified
+    conic = [["1", str(t), str(t * t)] for t in range(16)]
+    code, doc, err = run(capsys, ["classify", write(tmp_path, {"points": conic})])
+    assert code == 2
+    assert doc is None
+    assert err == "lct3: field 'points': at most 15 points\n"
+    code, doc, _ = run(capsys, ["classify", write(tmp_path, {"points": conic[:15]})])
+    assert code == 0
+    assert doc["classification"]["variant"] == "CaseB"

@@ -224,23 +224,32 @@ def test_classify_groebner_runs_are_pinned(
 def test_classify_computes_each_graded_piece_once(monkeypatch, cold_caches):
     # the pieces (I_Z)_d are the primary data: one classify computes each
     # degree's piece once and derives I_Z, the envelope chain and the
-    # generator degrees from them
-    from lct3 import envelopes, points
+    # generator degrees from them; each piece is one elimination
+    from lct3 import envelopes, linalg, points
 
     Z_ = general_points(8, 42)  # drawn before counting: it ranks pieces too
-    degrees = []
-    piece = points.graded_piece
+    degrees, eliminations, per_piece = [], [], []
+    piece, echelon = points.graded_piece, linalg.echelon
+
+    def counted_echelon(*args):
+        eliminations.append(args)
+        return echelon(*args)
 
     def counted(Z, d):
         degrees.append(d)
-        return piece(Z, d)
+        before = len(eliminations)
+        result = piece(Z, d)
+        per_piece.append(len(eliminations) - before)
+        return result
 
+    monkeypatch.setattr(linalg, "echelon", counted_echelon)
     for module in (points, envelopes):
         monkeypatch.setattr(module, "graded_piece", counted)
     c = classify(Z_)
     assert c.kind == "C"
     assert degrees == list(range(len(points.hilbert_pieces(Z_))))
     assert len(degrees) == 5
+    assert per_piece == [1] * 5
 
 
 # Noise-free gate on classify: saturations per classification.  The chain

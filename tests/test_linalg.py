@@ -1,7 +1,11 @@
 import random
 from fractions import Fraction
 
-from lct3 import RatMatrix
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lct3 import RatMatrix, zerodim
+from lct3.linalg import echelon
 
 
 def test_identity_has_trivial_kernel():
@@ -68,3 +72,117 @@ def test_rref_pivots_are_one():
     red, pivots = M.rref()
     for r, c in enumerate(pivots):
         assert red.entries[r][c] == 1
+
+
+# References: the Fraction Gauss-Jordan elimination, the kernel read off it
+# and echelonized by a second pass, and the rank over F_p that the
+# fraction-free kernel replaced.
+
+
+def reference_rref(rows, cols):
+    m = [[Fraction(v) for v in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == len(m):
+            break
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return [tuple(row) for row in m], tuple(pivots)
+
+
+def reference_kernel(rows, cols):
+    red, pivots = reference_rref(rows, cols)
+    vecs = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(0)] * cols
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -red[r][f]
+        vecs.append(v)
+    return reference_rref(vecs, cols)[0] if vecs else []
+
+
+def reference_rank_mod(rows, p):
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] * inv % p
+            if f:
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def rational_matrices(draw):
+    """Small rational matrices, often with zero rows, zero columns and
+    repeated or combined rows (rank-deficient shapes)."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(1, 7))
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5)),
+    )
+    m = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), max_size=rows))
+    for c in draw(st.lists(st.integers(0, cols - 1), max_size=2)):
+        m = [r[:c] + [Fraction(0)] + r[c + 1 :] for r in m]
+    if len(m) >= 2 and draw(st.booleans()):
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        m.append([a * x + b * y for x, y in zip(m[0], m[1])])
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=rational_matrices())
+def test_kernel_agrees_with_fraction_gauss_jordan(m):
+    cols = len(m[0]) if m else 1
+    M = RatMatrix(m)
+    if not m:
+        assert (M.rref(), M.rank(), M.kernel_basis()) == ((RatMatrix([]), ()), 0, [])
+        return
+    red, pivots = M.rref()
+    ref_red, ref_pivots = reference_rref(m, cols)
+    assert (red.entries, pivots) == (tuple(ref_red), ref_pivots)
+    assert M.rank() == len(ref_pivots)
+    kernel = M.kernel_basis()
+    assert kernel == reference_kernel(m, cols)
+    if kernel:
+        assert RatMatrix(kernel).rref()[0].entries == tuple(kernel)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, zerodim.TRACE_PRIME]),
+    m=st.lists(st.lists(st.integers(0, 6), min_size=4, max_size=4), max_size=5),
+)
+def test_modular_rank_agrees_with_reference(p, m):
+    m = [[v % p for v in row] for row in m]
+    assert len(echelon(m, range(4), p)[1]) == reference_rank_mod(m, p)
+
+
+@pytest.mark.parametrize("p", [7, zerodim.TRACE_PRIME])
+def test_modular_rank_below_integer_rank(p):
+    # both determinants are p: rank 2 over Z, 1 mod p.  In the second matrix
+    # the combined row is (0, -p) before reduction, so dividing out its
+    # content first would leave a nonzero row.
+    for m in ([[1, 2], [2, 4 + p]], [[1, (p + 1) // 2], [2, 1]]):
+        assert len(echelon(m, range(2))[1]) == 2
+        assert len(echelon(m, range(2), p)[1]) == reference_rank_mod(
+            [[v % p for v in row] for row in m], p
+        ) == 1
