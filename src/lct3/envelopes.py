@@ -82,18 +82,28 @@ def envelope_report(Z: PointSet) -> EnvelopeReport:
     """Take the Hilbert polynomial of each nonzero graded piece of I_Z in
     turn until the envelope is Z itself (at the latest the last piece),
     noting each strict shrink."""
-    entries, ggds, previous = [], [], None
+    return _envelope_chain(Z)[0]
+
+
+def _envelope_chain(Z: PointSet):
+    """The envelope report, and the ideal of the first nonzero piece, whose
+    Groebner basis its Hilbert polynomial has computed."""
+    entries, ggds, previous, first = [], [], None, None
     for piece in hilbert_pieces(Z):
         if not piece.basis:
             continue
-        hp = hilbert_polynomial(Ideal(piece.basis, nvars=3))
+        ideal = Ideal(piece.basis, nvars=3)
+        if first is None:
+            first = ideal
+        hp = hilbert_polynomial(ideal)
         if hp != previous:
             ggds.append(piece.degree)
         entries.append(EnvelopeEntry(piece.degree, _descriptor(hp, len(Z))))
         if hp == (0, len(Z)):
             break
         previous = hp
-    return EnvelopeReport(tuple(entries), tuple(ggds), tuple(generator_degrees(Z)))
+    report = EnvelopeReport(tuple(entries), tuple(ggds), tuple(generator_degrees(Z)))
+    return report, first
 
 
 def geometric_generating_degrees(Z: PointSet):
@@ -133,7 +143,7 @@ def is_smooth_plane_curve(F: Poly) -> bool:
 def classify(Z: PointSet) -> Classification:
     """Sort an arrangement into case A, B, or C; everything else is reported
     as unsupported with a human-readable reason."""
-    report = envelope_report(Z)
+    report, first_piece = _envelope_chain(Z)
     ggds = report.ggds
     if len(ggds) == 1:
         return Classification(kind="A", d=ggds[0], report=report)
@@ -145,11 +155,10 @@ def classify(Z: PointSet) -> Classification:
         )
     d, e = ggds
     descriptor = report.entries[0].descriptor
-    piece = hilbert_pieces(Z)[d]
     if descriptor == CURVE:
         # the curve's form vanishes on Z in degree <= d, and d is the first
         # nonzero piece, so the piece is spanned by that form
-        (form,) = piece.basis
+        (form,) = first_piece.generators
         if is_smooth_plane_curve(form):
             return Classification(kind="B", d=d, e=e, curve_form=form, report=report)
         return Classification(
@@ -158,7 +167,7 @@ def classify(Z: PointSet) -> Classification:
             report=report,
         )
     if descriptor == FINITE_SCHEME:
-        env = saturate(Ideal(piece.basis, nvars=3), maximal_ideal())
+        env = saturate(first_piece, maximal_ideal())
         zero_dim = zero_dim_report(env)
         if not zero_dim.is_reduced:
             return Classification(

@@ -1,12 +1,16 @@
 """Homogeneous-ideal calculus: Groebner bases, membership, sum, product,
 power, intersection, quotient, saturation, elimination, equality.
 
-The Buchberger core works on integer-coefficient "primitive" polynomials
+Groebner bases are computed on integer-coefficient "primitive" polynomials
 (dict exponent -> int, content 1, positive leading coefficient) so that
 reductions stay in exact integer arithmetic; results are converted back to
-monic Fraction polynomials.  Pair selection is by ascending lcm degree with
-the product criterion and the chain criterion (justified only by pairs
-treated strictly earlier, so discards are well-founded).
+monic Fraction polynomials.  Which engine runs depends only on the
+generators.  When all are homogeneous, `_graded` builds the basis one degree
+at a time: each degree is one `linalg.echelon` elimination, whose pivot rows
+are the new basis elements, already reduced.  Otherwise `_buchberger` takes
+pairs by ascending lcm degree with the product criterion and the chain
+criterion (justified only by pairs treated strictly earlier, so discards are
+well-founded), reduces by normal forms and auto-reduces at the end.
 
 Saturation is closed-form and only for what the package needs: a
 homogeneous ideal by an ideal of variables, such as the irrelevant ideal
@@ -23,6 +27,7 @@ from functools import reduce as _fold
 from itertools import chain
 from operator import add, le, sub
 
+from .linalg import echelon
 from .polynomials import (
     GREVLEX,
     MonomialOrder,
@@ -157,8 +162,104 @@ def _spoly(f: IntPoly, ltf, g: IntPoly, ltg) -> IntPoly:
     return out
 
 
+def _graded(gens, order: MonomialOrder):
+    """Reduced Groebner basis of homogeneous generators, one degree at a time
+    (Faugere's F4 with the normal strategy, J. Pure Appl. Algebra 139, 1999).
+
+    Step d takes the generators of degree d and the S-polynomials of the
+    pairs whose lcm has degree d as dense integer rows over degree-d
+    monomials in descending order, adds a shifted basis element for each
+    monomial that a leading exponent divides, clears those columns in a
+    triangular pass and echelonizes the rest.  The pivot rows are the new
+    basis elements of degree d: no other element's leading exponent divides
+    any of their terms, and every other element has another degree, so the
+    basis comes out reduced.  Pairs are chosen by Gebauer and Moller's
+    update (J. Symb. Comp. 6, 1988).  Returns the basis as _buchberger
+    does."""
+    keyf = order.key
+    pending: dict = {}
+    for g in gens:
+        pending.setdefault(sum(next(iter(g))), []).append(g)
+    G: list = []
+    lts: list = []
+    pairs: list = []  # (lcm, i, j)
+    while pending or pairs:
+        d = min(chain(pending, (sum(m) for m, _, _ in pairs)))
+        rows = pending.pop(d, [])
+        rows += [_spoly(G[i], lts[i], G[j], lts[j]) for m, i, j in pairs if sum(m) == d]
+        pairs = [p for p in pairs if sum(p[0]) != d]
+        for p, lt in _degree_step(rows, G, lts, keyf):
+            pairs = _update(pairs, lts, lt)
+            G.append(p)
+            lts.append(lt)
+    return [p for _, p in sorted(zip(lts, G), key=lambda t: keyf(t[0]), reverse=True)]
+
+
+def _degree_step(rows, G, lts, keyf):
+    """The new basis elements, (poly, leading exponent), spanned with G by
+    the rows of one degree.  The shifted basis element that reduces a
+    monomial brings its own monomials, which are reduced in turn."""
+    monomials = set().union(*rows)
+    reducers = {}
+    todo = list(monomials)
+    while todo:
+        m = todo.pop()
+        for lt, g in zip(lts, G):
+            if _divides(lt, m):
+                shift = tuple(map(sub, m, lt))
+                reducers[m] = r = {tuple(map(add, e, shift)): c for e, c in g.items()}
+                todo += [e for e in r if e not in monomials]
+                monomials.update(r)
+                break
+    columns = sorted(monomials, key=keyf, reverse=True)
+    index = {m: k for k, m in enumerate(columns)}
+
+    def dense(p):
+        row = [0] * len(columns)
+        for e, c in p.items():
+            row[index[e]] = c
+        return row
+
+    fixed = sorted((index[m], dense(r)) for m, r in reducers.items())
+    free = [k for k, m in enumerate(columns) if m not in reducers]
+    pivot_rows, pivots = echelon([dense(r) for r in rows], free, reducers=fixed)
+    out = []
+    for row, k in zip(pivot_rows, pivots):
+        p = {columns[j]: v for j, v in enumerate(row) if v}
+        out.append((_normalize(p, columns[k]), columns[k]))
+    return out
+
+
+def _update(pairs, lts, lt):
+    """Gebauer and Moller's update when an element with leading exponent lt
+    joins the basis with leading exponents lts: the pairs still to treat.
+    A new pair goes when the lcm of another new pair divides its lcm (of
+    equal lcms one stays, a coprime one first), and then every coprime new
+    pair goes; an old pair goes when lt divides its lcm and the lcms of lt
+    with both its leading exponents differ from it."""
+    k = len(lts)
+    new = []
+    for i, a in enumerate(lts):
+        m = tuple(map(max, a, lt))
+        new.append((m, i, sum(m) == sum(a) + sum(lt)))
+    kept = []
+    for n, (m, i, coprime) in enumerate(new):
+        if coprime or not any(_divides(q[0], m) for q in chain(new[n + 1 :], kept)):
+            kept.append((m, i, coprime))
+    out = [
+        (m, i, j)
+        for m, i, j in pairs
+        if not _divides(lt, m)
+        or tuple(map(max, lts[i], lt)) == m
+        or tuple(map(max, lts[j], lt)) == m
+    ]
+    out += [(m, i, k) for m, i, coprime in kept if not coprime]
+    return out
+
+
 def _buchberger(gens, order: MonomialOrder):
-    """Reduced Groebner basis (list of primitive IntPoly, descending leads)."""
+    """Reduced Groebner basis (list of primitive IntPoly, descending leads);
+    the engine for generators that are not all homogeneous."""
     keyf = order.key
     G: list = []
     lts: list = []
@@ -276,9 +377,11 @@ class Ideal:
                 gb = self._monomial_basis(keyf)
             else:
                 ints = [_int_from_poly(g, keyf) for g in self.generators]
+                homogeneous = all(g.is_homogeneous() for g in self.generators)
+                engine = _graded if homogeneous else _buchberger
                 gb = tuple(
                     _poly_from_int(p, self.nvars, keyf)
-                    for p in _buchberger(ints, self.order)
+                    for p in engine(ints, self.order)
                 )
             object.__setattr__(self, "_gb", gb)
         return self._gb
@@ -470,7 +573,10 @@ def saturate(I: Ideal, J: Ideal) -> Ideal:
     for v in variables:
         perm = tuple(i for i in range(n) if i != v) + (v,)
         inverse = tuple(perm.index(i) for i in range(n))
-        moved = Ideal([g.permute(perm) for g in I.generators], nvars=n)
+        if v == n - 1 and I.order == GREVLEX:
+            moved = I  # its own grevlex basis, computed at most once
+        else:
+            moved = Ideal([g.permute(perm) for g in I.generators], nvars=n)
         quotient = [_divide_out_last(g).permute(inverse) for g in moved.groebner()]
         parts.append(Ideal(quotient, nvars=n))
     return _fold(ideal_intersect, parts)

@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals (dense, desk scale).
 
-Every rank, reduced row echelon form and kernel in lct3 comes from one
-fraction-free Gauss-Jordan elimination, `echelon` (Bareiss, Math. Comp.
-1968), over the integers or modulo a prime.  Pivots taken left to right give
-the reduced row echelon form; right to left, the reduced kernel basis."""
+Every rank, reduced row echelon form and kernel in lct3, and each degree of
+a homogeneous Groebner basis, comes from one fraction-free Gauss-Jordan
+elimination, `echelon` (Bareiss, Math. Comp. 1968), over the integers or
+modulo a prime.  Pivots taken left to right give the reduced row echelon
+form; right to left, the reduced kernel basis."""
 
 from __future__ import annotations
 
@@ -19,11 +20,30 @@ def _primitive(row, prime):
     return [v // g for v in row] if g > 1 else row
 
 
-def echelon(rows, columns, prime=None):
+def _clear(row, pivot, c, prime):
+    """a*row - b*pivot with the least a > 0 that makes it zero in column c.
+    Divided by its content when a > 1; with a = 1 no entry grows by a
+    factor, so over the integers the gcd is not worth its cost."""
+    g = gcd(row[c], pivot[c])
+    a, b = pivot[c] // g, row[c] // g
+    if a == 1 and prime is None:
+        return [x - b * y for x, y in zip(row, pivot)]
+    return _primitive([a * x - b * y for x, y in zip(row, pivot)], prime)
+
+
+def echelon(rows, columns, prime=None, reducers=()):
     """Gauss-Jordan elimination without division, over the integers or,
     given a prime, modulo it.  Each rational row is first scaled by its
-    common denominator; pivots are tried in the order of `columns`, and
-    each combined row is divided by its content.
+    common denominator; pivots are tried in the order of `columns`, the
+    pivot row being the one with the smallest entry there, which multiplies
+    the other rows least, and a row multiplied to clear a column is then
+    divided by its content.
+
+    `reducers` are fixed pivots, (column, integer row) pairs, each row zero
+    in the columns of the reducers before it.  A triangular pass first
+    clears every row in those columns, in the order given; the reducers
+    themselves are neither changed nor returned, and rows that become zero
+    are dropped.
 
     Returns (pivot_rows, pivots): the integer rows in the order their pivot
     columns were taken, each zero in every other pivot column."""
@@ -31,18 +51,23 @@ def echelon(rows, columns, prime=None):
     for row in rows:
         scale = lcm(*(v.denominator for v in row))
         integral = [v.numerator * (scale // v.denominator) for v in row]
-        work.append(_primitive(integral, prime))
+        row = _primitive(integral, prime)
+        for c, fixed in reducers:
+            if row[c]:
+                row = _clear(row, fixed, c, prime)
+        if any(row):
+            work.append(row)
     done, pivots = [], []
     for c in columns:
-        i = next((i for i, r in enumerate(work) if r[c]), None)
+        nonzero = (i for i, r in enumerate(work) if r[c])
+        i = min(nonzero, key=lambda i: abs(work[i][c]), default=None)
         if i is None:
             continue
         pivot = work.pop(i)
         for part in (done, work):
             for k, r in enumerate(part):
                 if r[c]:
-                    combined = [pivot[c] * x - r[c] * y for x, y in zip(r, pivot)]
-                    part[k] = _primitive(combined, prime)
+                    part[k] = _clear(r, pivot, c, prime)
         done.append(pivot)
         pivots.append(c)
     return done, tuple(pivots)

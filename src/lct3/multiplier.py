@@ -92,7 +92,9 @@ def multiplier_ideal(c: Classification, Z: PointSet, lam) -> MultiplierIdealResu
 
 def _lookup(c: Classification, Z: PointSet, lam: Fraction, memo: dict):
     """J(lam) from memo, assembled on a miss.  The memo belongs to a single
-    multiplier_ideal or jumping_numbers call."""
+    multiplier_ideal or jumping_numbers call; besides the exponents, it maps
+    each ideal a Skoda step started from to the product, so that one ideal
+    object is multiplied once."""
     result = memo.get(lam)
     if result is None:
         result = memo[lam] = _assemble(c, Z, lam, memo)
@@ -102,8 +104,10 @@ def _lookup(c: Classification, Z: PointSet, lam: Fraction, memo: dict):
 def _assemble(c: Classification, Z: PointSet, lam: Fraction, memo: dict):
     """J(lam) by one Skoda step from memo at lam >= 3, else in closed form."""
     if lam >= 3:
-        inner = _lookup(c, Z, lam - 1, memo)
-        ideal = ideal_product(ideal_of_points(Z), inner.ideal)
+        inner = _lookup(c, Z, lam - 1, memo).ideal
+        ideal = memo.get(inner)
+        if ideal is None:
+            ideal = memo[inner] = ideal_product(ideal_of_points(Z), inner)
         return MultiplierIdealResult(lam, ideal, "skoda-recursion")
     d = c.d
     if c.kind == "A":
@@ -170,7 +174,9 @@ def jumping_numbers(c: Classification, Z: PointSet, lam_max) -> JumpTable:
     breakpoint of every floor term and of its Skoda shift, so J is constant
     on [previous candidate, candidate) and each candidate is compared with
     the previous one, starting from J(0).  One memo serves the whole scan,
-    so each exponent is assembled once."""
+    so each exponent is assembled once.  Where J does not jump, the memo
+    keeps the previous ideal object, whose basis and Skoda products are
+    already computed."""
     lam_max = as_lambda(lam_max)
     if lam_max > LAMBDA_CAP:
         raise ValueError(f"cut-off {lam_max} exceeds the supported cap {LAMBDA_CAP}")
@@ -179,11 +185,14 @@ def jumping_numbers(c: Classification, Z: PointSet, lam_max) -> JumpTable:
     jumps = []
     before = _lookup(c, Z, Fraction(0), memo).ideal
     for cand in jump_candidates(c, lam_max):
-        at = _lookup(c, Z, cand, memo).ideal
-        if not ideal_equal(at, before):
-            if not before.contains_ideal(at):
-                raise RuntimeError("multiplier ideal grew across a candidate; bug")
-            jumps.append((cand, at))
+        result = _lookup(c, Z, cand, memo)
+        at = result.ideal
+        if ideal_equal(at, before):
+            memo[cand] = MultiplierIdealResult(cand, before, result.branch)
+            continue
+        if not before.contains_ideal(at):
+            raise RuntimeError("multiplier ideal grew across a candidate; bug")
+        jumps.append((cand, at))
         before = at
     return JumpTable(tuple(jumps), jumps[0][0] if jumps else None)
 

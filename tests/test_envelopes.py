@@ -196,13 +196,14 @@ def test_case_b_unique_curve(six_on_conic, three_collinear):
         assert ideal_equal(envelope(Z_, c.d), Ideal([c.curve_form], nvars=3))
 
 
-# Noise-free gate on classify: fresh Groebner bases (_buchberger runs) for
-# one classification from empty arrangement caches.  The counts may only go
+# Noise-free gate on classify: fresh Groebner bases, the runs of either
+# engine (graded for homogeneous generators, Buchberger otherwise), for one
+# classification from empty arrangement caches.  The counts may only go
 # down.
-GATE_BUCHBERGER = {"eight-general": 20, "six-on-conic": 3}
+GATE_GROEBNER_RUNS = {"eight-general": 19, "six-on-conic": 3}
 
 
-@pytest.mark.parametrize("name", sorted(GATE_BUCHBERGER))
+@pytest.mark.parametrize("name", sorted(GATE_GROEBNER_RUNS))
 def test_classify_groebner_runs_are_pinned(
     monkeypatch, cold_caches, name, eight_general, six_on_conic
 ):
@@ -210,15 +211,16 @@ def test_classify_groebner_runs_are_pinned(
 
     Z_ = {"eight-general": eight_general, "six-on-conic": six_on_conic}[name]
     runs = []
-    buchberger = ideals._buchberger
+    for engine in ("_graded", "_buchberger"):
+        original = getattr(ideals, engine)
 
-    def counted(gens, order):
-        runs.append(order)
-        return buchberger(gens, order)
+        def counted(gens, order, original=original):
+            runs.append(order)
+            return original(gens, order)
 
-    monkeypatch.setattr(ideals, "_buchberger", counted)
+        monkeypatch.setattr(ideals, engine, counted)
     classify(Z_)
-    assert len(runs) == GATE_BUCHBERGER[name], len(runs)
+    assert len(runs) == GATE_GROEBNER_RUNS[name], len(runs)
 
 
 def test_classify_computes_each_graded_piece_once(monkeypatch, cold_caches):

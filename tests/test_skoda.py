@@ -78,7 +78,7 @@ def test_skoda_chain_is_assembled_once_per_call(monkeypatch, five_general):
 # Noise-free gate on the lambda path: jumping_numbers(c, Z, 5) on a fixed
 # Case B set of five points.  The counts may only go down.
 GATE_ASSEMBLED = 21  # J(0) plus each of the 20 candidates, once
-GATE_GROEBNER = 25  # fresh Groebner bases computed by the scan
+GATE_GROEBNER = 23  # fresh Groebner bases computed by the scan
 
 
 def test_jump_scan_counts_are_pinned(monkeypatch, five_general):
@@ -105,3 +105,34 @@ def test_jump_scan_counts_are_pinned(monkeypatch, five_general):
     assert sorted(assembled) == [Fraction(0)] + jump_candidates(c, 5)
     assert sum(assembled.values()) == GATE_ASSEMBLED
     assert len(computed) == GATE_GROEBNER, len(computed)
+
+
+# Noise-free gate on the Skoda step: S-pairs that the graded engine batches
+# (after the Gebauer-Moller update) in one multiplier_ideal(c, Z, 4) on the
+# same set.  The count may only go down.
+GATE_BATCHED_PAIRS = 12
+
+
+def test_skoda_batched_pairs_are_pinned(monkeypatch, five_general):
+    from lct3 import ideals
+
+    c = classify(five_general)  # caches the ideal of the points and its basis
+    batched, inside = [], []
+    graded, spoly = ideals._graded, ideals._spoly
+
+    def counted_graded(gens, order):
+        inside.append(order)
+        try:
+            return graded(gens, order)
+        finally:
+            inside.pop()
+
+    def counted_spoly(*args):
+        if inside:
+            batched.append(args)
+        return spoly(*args)
+
+    monkeypatch.setattr(ideals, "_graded", counted_graded)
+    monkeypatch.setattr(ideals, "_spoly", counted_spoly)
+    assert multiplier_ideal(c, five_general, 4).branch == "skoda-recursion"
+    assert len(batched) == GATE_BATCHED_PAIRS, len(batched)
