@@ -4,13 +4,12 @@ power, intersection, quotient, saturation, elimination, equality.
 Groebner bases are computed on integer-coefficient "primitive" polynomials
 (dict exponent -> int, content 1, positive leading coefficient) so that
 reductions stay in exact integer arithmetic; results are converted back to
-monic Fraction polynomials.  Which engine runs depends only on the
-generators.  When all are homogeneous, `_graded` builds the basis one degree
-at a time: each degree is one `linalg.echelon` elimination, whose pivot rows
-are the new basis elements, already reduced.  Otherwise `_buchberger` takes
-pairs by ascending lcm degree with the product criterion and the chain
-criterion (justified only by pairs treated strictly earlier, so discards are
-well-founded), reduces by normal forms and auto-reduces at the end.
+monic Fraction polynomials.  One engine, `_graded`, builds every basis one
+degree at a time: each degree is one `linalg.echelon` elimination, whose
+pivot rows are the new basis elements, already reduced.  Generators that are
+not all homogeneous (the charts of `zerodim` and the t-lifted ideal of
+`ideal_intersect`) are homogenized with a new last variable first; setting
+it to 1 in their graded basis and auto-reducing gives their reduced basis.
 
 Saturation is closed-form and only for what the package needs: a
 homogeneous ideal by an ideal of variables, such as the irrelevant ideal
@@ -26,6 +25,7 @@ from fractions import Fraction
 from functools import reduce as _fold
 from itertools import chain
 from operator import add, le, sub
+from types import SimpleNamespace
 
 from .linalg import echelon
 from .polynomials import (
@@ -174,8 +174,9 @@ def _graded(gens, order: MonomialOrder):
     basis elements of degree d: no other element's leading exponent divides
     any of their terms, and every other element has another degree, so the
     basis comes out reduced.  Pairs are chosen by Gebauer and Moller's
-    update (J. Symb. Comp. 6, 1988).  Returns the basis as _buchberger
-    does."""
+    update (J. Symb. Comp. 6, 1988).  Returns the basis as a list of
+    primitive integer polynomials, leading exponents descending; of order
+    it reads only order.key."""
     keyf = order.key
     pending: dict = {}
     for g in gens:
@@ -257,52 +258,22 @@ def _update(pairs, lts, lt):
     return out
 
 
-def _buchberger(gens, order: MonomialOrder):
-    """Reduced Groebner basis (list of primitive IntPoly, descending leads);
-    the engine for generators that are not all homogeneous."""
+def _dehomogenized(gens, order: MonomialOrder):
+    """Reduced Groebner basis of generators that are not all homogeneous,
+    through _graded (Cox, Little and O'Shea, Ideals, Varieties, and
+    Algorithms, ch. 8 section 4).  Each generator is homogenized to its top
+    degree with a new last variable h.  Under "total degree, then order on
+    the old variables", setting h = 1 in the leading term of a form gives
+    the leading term under order of the form at h = 1, so setting h = 1 in
+    the graded basis gives a Groebner basis of the ideal, and _autoreduce
+    makes it the reduced one."""
     keyf = order.key
-    G: list = []
-    lts: list = []
+    lifted = []
     for g in gens:
-        r = _nf(g, list(zip(lts, G)), order)
-        if r:
-            G.append(r)
-            lts.append(max(r, key=keyf))
-
-    heap: list = []
-
-    def push_pairs(j):
-        for i in range(j):
-            lcm = tuple(max(a, b) for a, b in zip(lts[i], lts[j]))
-            heapq.heappush(heap, (sum(lcm), keyf(lcm), i, j))
-
-    for j in range(len(G)):
-        push_pairs(j)
-
-    treated = set()
-    while heap:
-        _, _, i, j = heapq.heappop(heap)
-        treated.add((i, j))
-        lti, ltj = lts[i], lts[j]
-        lcm = tuple(max(a, b) for a, b in zip(lti, ltj))
-        if all(a + b == l for a, b, l in zip(lti, ltj, lcm)):
-            continue  # coprime leading terms
-        skipped = False
-        for k in range(len(G)):
-            if k == i or k == j or not _divides(lts[k], lcm):
-                continue
-            if (min(i, k), max(i, k)) in treated and (min(j, k), max(j, k)) in treated:
-                skipped = True
-                break
-        if skipped:
-            continue
-        r = _nf(_spoly(G[i], lti, G[j], ltj), list(zip(lts, G)), order)
-        if r:
-            G.append(r)
-            lts.append(max(r, key=keyf))
-            push_pairs(len(G) - 1)
-
-    return _autoreduce(G, order)
+        top = max(map(sum, g))
+        lifted.append({e + (top - sum(e),): c for e, c in g.items()})
+    graded = _graded(lifted, SimpleNamespace(key=lambda e: (sum(e), keyf(e[:-1]))))
+    return _autoreduce([{e[:-1]: c for e, c in g.items()} for g in graded], order)
 
 
 def _autoreduce(G, order: MonomialOrder):
@@ -378,7 +349,7 @@ class Ideal:
             else:
                 ints = [_int_from_poly(g, keyf) for g in self.generators]
                 homogeneous = all(g.is_homogeneous() for g in self.generators)
-                engine = _graded if homogeneous else _buchberger
+                engine = _graded if homogeneous else _dehomogenized
                 gb = tuple(
                     _poly_from_int(p, self.nvars, keyf)
                     for p in engine(ints, self.order)
@@ -446,7 +417,7 @@ def zero_ideal(nvars: int = 3) -> Ideal:
 
 
 def unit_ideal(nvars: int = 3) -> Ideal:
-    return Ideal([Poly.constant(1, nvars)], nvars=nvars)
+    return Ideal._seeded([Poly.constant(1, nvars)], nvars=nvars)
 
 
 def maximal_ideal() -> Ideal:
@@ -611,9 +582,10 @@ def eliminate(I: Ideal, var: int) -> Ideal:
 
 
 def ideal_equal(I: Ideal, J: Ideal) -> bool:
-    """Equality via identical reduced Groebner bases (same order required)."""
+    """Equality via identical reduced Groebner bases (same order required);
+    equal generators decide without a basis."""
     if I.order != J.order:
         raise ValueError("ideal equality requires a common monomial order")
     if I.nvars != J.nvars:
         return False
-    return I.groebner() == J.groebner()
+    return I.generators == J.generators or I.groebner() == J.groebner()

@@ -3,7 +3,9 @@
 A polynomial is a mapping from exponent tuples to nonzero Fraction
 coefficients.  The default ring has the three variables x, y, z; an
 auxiliary fourth variable t (placed *first* in the term order, so that
-block orders eliminate it) is used internally for ideal intersection.
+block orders eliminate it) is used internally for ideal intersection.  The
+t-lifted ideal is not homogeneous, so its Groebner basis is taken on its
+homogenization, with one more variable placed last (see `ideals`).
 
 All arithmetic is exact; floats are rejected on construction.
 """

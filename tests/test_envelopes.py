@@ -196,8 +196,8 @@ def test_case_b_unique_curve(six_on_conic, three_collinear):
         assert ideal_equal(envelope(Z_, c.d), Ideal([c.curve_form], nvars=3))
 
 
-# Noise-free gate on classify: fresh Groebner bases, the runs of either
-# engine (graded for homogeneous generators, Buchberger otherwise), for one
+# Noise-free gate on classify: fresh Groebner bases, the runs of the one
+# engine (inhomogeneous generators reach it homogenized), for one
 # classification from empty arrangement caches.  The counts may only go
 # down.
 GATE_GROEBNER_RUNS = {"eight-general": 19, "six-on-conic": 3}
@@ -211,16 +211,41 @@ def test_classify_groebner_runs_are_pinned(
 
     Z_ = {"eight-general": eight_general, "six-on-conic": six_on_conic}[name]
     runs = []
-    for engine in ("_graded", "_buchberger"):
-        original = getattr(ideals, engine)
+    graded = ideals._graded
 
-        def counted(gens, order, original=original):
-            runs.append(order)
-            return original(gens, order)
+    def counted(gens, order):
+        runs.append(order)
+        return graded(gens, order)
 
-        monkeypatch.setattr(ideals, engine, counted)
+    monkeypatch.setattr(ideals, "_graded", counted)
     classify(Z_)
     assert len(runs) == GATE_GROEBNER_RUNS[name], len(runs)
+
+
+# Noise-free gate on classify: intersections for one classification from
+# empty arrangement caches (the Case C colon ideal and the saturation of its
+# intermediate envelope).  The counts may only go down.
+GATE_INTERSECT = {"eight-general": 9, "six-on-conic": 0}
+
+
+@pytest.mark.parametrize("name", sorted(GATE_INTERSECT))
+def test_classify_intersections_are_pinned(
+    monkeypatch, cold_caches, name, eight_general, six_on_conic
+):
+    from lct3 import ideals, points
+
+    Z_ = {"eight-general": eight_general, "six-on-conic": six_on_conic}[name]
+    calls = []
+    intersect = ideals.ideal_intersect
+
+    def counted(I, J):
+        calls.append((I, J))
+        return intersect(I, J)
+
+    for module in (ideals, points):
+        monkeypatch.setattr(module, "ideal_intersect", counted)
+    classify(Z_)
+    assert len(calls) == GATE_INTERSECT[name], len(calls)
 
 
 def test_classify_computes_each_graded_piece_once(monkeypatch, cold_caches):

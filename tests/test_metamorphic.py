@@ -1,15 +1,16 @@
-"""Metamorphic properties of classify: the result depends on the set of
-points only, not on their order, and is invariant under a projective
-change of coordinates."""
+"""Metamorphic properties of classify and the jump list: the result depends
+on the set of points only, not on their order, and classify is invariant
+under a projective change of coordinates."""
 
 import json
 import random
+from argparse import Namespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lct3 import PointSet, classify, general_points, lct
-from lct3.cli import classification_doc
+from lct3 import PointSet, UnsupportedArrangement, classify, general_points, lct
+from lct3.cli import classification_doc, cmd_jumps
 
 FIXTURES = (
     "coordinate_points",
@@ -47,6 +48,28 @@ def test_classify_ignores_point_order_of_fixtures(name, request):
     expected = document(Z_)
     assert document(PointSet(Z_.points[::-1])) == expected
     assert document(reordered(Z_, random.Random(name))) == expected
+
+
+def jumps_document(Z_) -> str:
+    try:
+        return json.dumps(cmd_jumps(Z_, Namespace(lambda_max="3")), sort_keys=True)
+    except UnsupportedArrangement as exc:
+        return f"unsupported: {exc}"
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    Z_=st.builds(general_points, st.integers(1, 6), st.integers(0, 10**6)),
+    rng=st.randoms(use_true_random=False),
+)
+def test_jumps_ignore_point_order(Z_, rng):
+    assert jumps_document(reordered(Z_, rng)) == jumps_document(Z_)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_jumps_ignore_point_order_of_fixtures(name, request):
+    Z_ = request.getfixturevalue(name)
+    assert jumps_document(reordered(Z_, random.Random(name))) == jumps_document(Z_)
 
 
 def det3(g) -> int:
