@@ -20,7 +20,7 @@ from .multiplier import (
     lct,
     multiplier_ideal,
 )
-from .points import PointSet, general_points
+from .points import PointSet, SamplingError, general_points
 from .polynomials import poly_str
 from .verify import cross_check
 
@@ -143,7 +143,10 @@ def load_arrangement(path: str, seed_override=None):
         seed = seed_override if seed_override is not None else gen.get("seed")
         if not isinstance(seed, int):
             raise InputError("generator.seed: an integer seed is required")
-        Z = general_points(n, seed)
+        try:
+            Z = general_points(n, seed)
+        except SamplingError as exc:
+            raise InputError(f"generator: {exc}; try another seed")
         echo["generator"] = {"general": n, "seed": seed}
     else:
         raise InputError("the file must contain either 'points' or 'generator'")

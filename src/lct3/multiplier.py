@@ -84,17 +84,23 @@ def multiplier_ideal(c: Classification, Z: PointSet, lam) -> MultiplierIdealResu
     recursion J(lam) = I * J(lam - 1), capped at lam = 10.
     """
     _require_supported(c)
+    return _lookup(c, Z, _capped(lam), {})
+
+
+def _capped(lam) -> Fraction:
+    """as_lambda, and at most LAMBDA_CAP."""
     lam = as_lambda(lam)
     if lam > LAMBDA_CAP:
         raise ValueError(f"exponent {lam} exceeds the supported cap {LAMBDA_CAP}")
-    return _lookup(c, Z, lam, {})
+    return lam
 
 
 def _lookup(c: Classification, Z: PointSet, lam: Fraction, memo: dict):
     """J(lam) from memo, assembled on a miss.  The memo belongs to a single
-    multiplier_ideal or jumping_numbers call; besides the exponents, it maps
-    each ideal a Skoda step started from to the product, so that one ideal
-    object is multiplied once."""
+    multiplier_ideal, jumping_numbers or cross_check call; besides the
+    exponents, it maps each ideal a Skoda step started from to the product,
+    so that one ideal object is multiplied once, and each pair of generating
+    sets of the closed forms to their intersection."""
     result = memo.get(lam)
     if result is None:
         result = memo[lam] = _assemble(c, Z, lam, memo)
@@ -114,7 +120,7 @@ def _assemble(c: Classification, Z: PointSet, lam: Fraction, memo: dict):
         md = power_of_m(math.floor(lam * d) - 2)
         if lam < 2:
             return MultiplierIdealResult(lam, md, "A[0,2)")
-        ideal = ideal_intersect(md, ideal_of_points(Z))
+        ideal = _meet(md, ideal_of_points(Z), memo)
         return MultiplierIdealResult(lam, ideal, "A[2,3)")
     if c.kind == "B":
         e, F = c.e, c.curve_form
@@ -135,7 +141,7 @@ def _assemble(c: Classification, Z: PointSet, lam: Fraction, memo: dict):
             ideal_product(power_of_m(math.floor(lam * e) - (2 + 2 * e - d)), curve),
             ideal_product(power_of_m(math.floor(lam * d) - (2 + 2 * d)), curve2),
         )
-        ideal = ideal_intersect(inner, ideal_of_points(Z))
+        ideal = _meet(inner, ideal_of_points(Z), memo)
         return MultiplierIdealResult(lam, ideal, "B[2,3)")
     # case C
     e = c.e
@@ -144,11 +150,22 @@ def _assemble(c: Classification, Z: PointSet, lam: Fraction, memo: dict):
             lam, power_of_m(math.floor(lam * d) - 2), "C[0,2)"
         )
     inner = ideal_sum(
-        ideal_intersect(power_of_m(math.floor(lam * d) - 2), c.w_ideal),
+        _meet(power_of_m(math.floor(lam * d) - 2), c.w_ideal, memo),
         power_of_m(math.floor(lam * e) - 2 * (1 + e - d)),
     )
-    ideal = ideal_intersect(inner, ideal_of_points(Z))
+    ideal = _meet(inner, ideal_of_points(Z), memo)
     return MultiplierIdealResult(lam, ideal, "C[2,3)")
+
+
+def _meet(I: Ideal, J: Ideal, memo: dict) -> Ideal:
+    """I ∩ J, keyed in the memo by both generating sets, so exponents whose
+    floor terms give the same generators share one ideal object and one
+    basis."""
+    key = (I.generators, J.generators)
+    ideal = memo.get(key)
+    if ideal is None:
+        ideal = memo[key] = ideal_intersect(I, J)
+    return ideal
 
 
 def jump_candidates(c: Classification, lam_max) -> list:
@@ -210,28 +227,43 @@ def membership_by_valuation(
     Both cases additionally require membership in the (floor(lam)-1)-th
     symbolic power.
     """
-    lam = as_lambda(lam)
-    if lam >= 3:
+    return _valuation_memberships(c, Z, G, [lam])[0]
+
+
+def _valuation_memberships(c: Classification, Z: PointSet, G: Poly, lams) -> list:
+    """membership_by_valuation of one form at each exponent of lams.  What
+    does not depend on lam is computed once: the F-adic factorization of G
+    (Case B), and its membership in each symbolic power that some exponent
+    needs once its degree test passes."""
+    lams = [as_lambda(lam) for lam in lams]
+    if any(lam >= 3 for lam in lams):
         raise ValueError("valuation test only covers exponents below 3")
     if G.is_zero() or not G.is_homogeneous():
         raise ValueError("expected a nonzero homogeneous form")
     _require_supported(c)
     if c.kind == "C":
         raise ValueError("no valuation oracle for Case C")
-    k = math.floor(lam) - 1
-    if k > 0 and not symbolic_power(Z, k).contains(G):
-        return False
-    if c.kind == "A":
-        return G.total_degree() >= math.floor(lam * c.d) - 2
-    d, e, F = c.d, c.e, c.curve_form
+    # Case A is the single test j = 0 with a = 0
+    d = c.d
+    e = c.e if c.kind == "B" else d
     H, a = G, 0
-    while True:
-        q = H.exact_div(F)
+    while c.kind == "B":
+        q = H.exact_div(c.curve_form)
         if q is None:
             break
         H, a = q, a + 1
     degH = H.total_degree()
-    return all(
-        degH + (d + j) * a >= math.floor(lam * (d + j)) - (2 + j)
-        for j in range(e - d + 1)
-    )
+    in_power: dict = {}
+    out = []
+    for lam in lams:
+        ok = all(
+            degH + (d + j) * a >= math.floor(lam * (d + j)) - (2 + j)
+            for j in range(e - d + 1)
+        )
+        k = math.floor(lam) - 1
+        if ok and k > 0:
+            if k not in in_power:
+                in_power[k] = symbolic_power(Z, k).contains(G)
+            ok = in_power[k]
+        out.append(ok)
+    return out

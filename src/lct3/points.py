@@ -187,6 +187,10 @@ def is_rank_general(Z: PointSet) -> bool:
     )
 
 
+class SamplingError(RuntimeError):
+    """general_points found no general set within GENERALITY_RETRIES draws."""
+
+
 def general_points(n: int, seed: int) -> PointSet:
     """A reproducible random point set with verified general rank behavior.
 
@@ -213,4 +217,4 @@ def general_points(n: int, seed: int) -> PointSet:
         Z = PointSet.of(triples)
         if n == 1 or is_rank_general(Z):
             return Z
-    raise RuntimeError(f"could not sample a general {n}-point set (seed {seed})")
+    raise SamplingError(f"could not sample a general {n}-point set (seed {seed})")

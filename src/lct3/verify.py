@@ -17,11 +17,7 @@ from .ideals import (
     ideal_product,
     ideal_sum,
 )
-from .multiplier import (
-    as_lambda,
-    membership_by_valuation,
-    multiplier_ideal,
-)
+from .multiplier import _capped, _lookup, _valuation_memberships, as_lambda
 from .newton import monomial_mi
 from .points import PointSet, ideal_of_points
 from .polynomials import Poly, monomials_of_degree
@@ -120,7 +116,8 @@ def cross_check(Z: PointSet, lam_grid) -> CrossCheckReport:
 
     entries = []
     IZ = ideal_of_points(Z)
-    assembled = {lam: multiplier_ideal(c, Z, lam).ideal for lam in grid}
+    memo: dict = {}  # one memo for the grid, so each exponent is assembled once
+    assembled = {lam: _lookup(c, Z, _capped(lam), memo).ideal for lam in grid}
 
     if _is_monomial_ideal(IZ):
         gens = [g for g in IZ.groebner()]
@@ -139,13 +136,14 @@ def cross_check(Z: PointSet, lam_grid) -> CrossCheckReport:
 
     if c.kind in ("A", "B"):
         forms = _oracle_inputs(c)
+        lams = [lam for lam in grid if lam < 3]
+        # each form factored once, each symbolic power tested once per form
+        oracle = [_valuation_memberships(c, Z, G, lams) for G in forms if lams]
         witness = None
-        for lam in grid:
-            if lam >= 3:
-                continue
+        for i, lam in enumerate(lams):
             J = assembled[lam]
-            for G in forms:
-                if membership_by_valuation(c, Z, G, lam) != J.contains(G):
+            for G, answers in zip(forms, oracle):
+                if answers[i] != J.contains(G):
                     witness = f"lambda={lam}, form={G}"
                     break
             if witness:

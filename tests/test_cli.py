@@ -286,3 +286,19 @@ def test_explicit_points_are_capped(tmp_path, capsys):
     code, doc, _ = run(capsys, ["classify", write(tmp_path, {"points": conic[:15]})])
     assert code == 0
     assert doc["classification"]["variant"] == "CaseB"
+
+
+def test_unsampleable_generator_exits_2(tmp_path, capsys, monkeypatch):
+    # every resample fails the generality check: one line on stderr, no
+    # traceback
+    from lct3 import points
+
+    monkeypatch.setattr(points, "is_rank_general", lambda Z: False)
+    path = write(tmp_path, {"generator": {"general": 5, "seed": 3}})
+    code, doc, err = run(capsys, ["classify", path])
+    assert code == 2
+    assert doc is None
+    assert err == (
+        "lct3: generator: could not sample a general 5-point set (seed 3); "
+        "try another seed\n"
+    )

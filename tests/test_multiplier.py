@@ -1,6 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from lct3 import (
     Poly,
@@ -17,7 +19,11 @@ from lct3 import (
     membership_by_valuation,
     multiplier_ideal,
     power_of_m,
+    symbolic_power,
 )
+from lct3 import PointSet, general_points, monomials_of_degree
+from lct3.multiplier import _require_supported, _valuation_memberships
+from lct3.verify import _oracle_inputs
 
 F = Fraction
 
@@ -193,3 +199,106 @@ def test_candidates_cover_integers(six_on_conic):
     cands = jump_candidates(c, 3)
     assert F(1) in cands and F(2) in cands and F(3) in cands
     assert F(1, 2) in cands and F(1, 3) in cands
+
+
+def reference_membership_by_valuation(c, Z_, G, lam):
+    """membership_by_valuation as it was before the batched helper: G is
+    factored and tested against the symbolic power at every exponent."""
+    lam = as_lambda(lam)
+    if lam >= 3:
+        raise ValueError("valuation test only covers exponents below 3")
+    if G.is_zero() or not G.is_homogeneous():
+        raise ValueError("expected a nonzero homogeneous form")
+    _require_supported(c)
+    if c.kind == "C":
+        raise ValueError("no valuation oracle for Case C")
+    k = math.floor(lam) - 1
+    if k > 0 and not symbolic_power(Z_, k).contains(G):
+        return False
+    if c.kind == "A":
+        return G.total_degree() >= math.floor(lam * c.d) - 2
+    d, e, F = c.d, c.e, c.curve_form
+    H, a = G, 0
+    while True:
+        q = H.exact_div(F)
+        if q is None:
+            break
+        H, a = q, a + 1
+    degH = H.total_degree()
+    return all(
+        degH + (d + j) * a >= math.floor(lam * (d + j)) - (2 + j)
+        for j in range(e - d + 1)
+    )
+
+
+lambdas_below_3 = st.lists(
+    st.builds(Fraction, st.integers(0, 35), st.integers(1, 12)).filter(
+        lambda lam: lam < 3
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def assert_oracle_matches_reference(c, Z_, data, lams):
+    """_valuation_memberships against the reference on a sample of the
+    verify test forms plus random monomial * F^a forms."""
+    forms = _oracle_inputs(c)
+    sample = data.draw(st.lists(st.sampled_from(forms), max_size=12))
+    for _ in range(data.draw(st.integers(0, 6))):
+        t = data.draw(st.integers(0, 5))
+        G = Poly.monomial(data.draw(st.sampled_from(monomials_of_degree(t))), 1)
+        if c.kind == "B":
+            G = G * c.curve_form ** data.draw(st.integers(0, 3))
+        sample.append(G)
+    for G in sample:
+        got = _valuation_memberships(c, Z_, G, lams)
+        want = [reference_membership_by_valuation(c, Z_, G, lam) for lam in lams]
+        assert got == want, (str(G), lams)
+        assert got[:1] == [membership_by_valuation(c, Z_, G, lams[0])]
+
+
+# eight points on a smooth conic: Case B with (d, e) = (2, 4), so the
+# valuation test ranges over j = 0, 1, 2
+EIGHT_ON_CONIC = PointSet.of([(1, t, t * t) for t in (0, 1, -1, 2, -2, 3, -3, 4)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), lams=lambdas_below_3)
+def test_valuation_memberships_match_reference_on_fixtures(
+    coordinate_points, three_collinear, six_on_conic, six_general, data, lams
+):
+    arrangements = [coordinate_points, three_collinear, six_on_conic, six_general]
+    Z_ = data.draw(st.sampled_from(arrangements + [EIGHT_ON_CONIC]))
+    c = classify(Z_)
+    assert c.kind in ("A", "B")
+    assert_oracle_matches_reference(c, Z_, data, lams)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    seed=st.integers(0, 10**6),
+    data=st.data(),
+    lams=lambdas_below_3,
+)
+def test_valuation_memberships_match_reference_on_general_sets(n, seed, data, lams):
+    Z_ = general_points(n, seed)
+    c = classify(Z_)
+    assume(c.kind in ("A", "B"))  # a rare draw has three points on a line
+    assert_oracle_matches_reference(c, Z_, data, lams)
+
+
+def test_valuation_memberships_validate_like_the_public_oracle(
+    coordinate_points, eight_general
+):
+    c = classify(coordinate_points)
+    with pytest.raises(TypeError):
+        _valuation_memberships(c, coordinate_points, X, [1, 0.5])
+    with pytest.raises(ValueError, match="only covers exponents below 3"):
+        _valuation_memberships(c, coordinate_points, X, [1, 3])
+    with pytest.raises(ValueError, match="nonzero homogeneous form"):
+        _valuation_memberships(c, coordinate_points, X + X * X, [1])
+    with pytest.raises(ValueError, match="no valuation oracle for Case C"):
+        _valuation_memberships(classify(eight_general), eight_general, X, [1])
+    assert _valuation_memberships(c, coordinate_points, X, []) == []

@@ -3,7 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from lct3 import Ideal, Poly, cross_check, verify_chart_identity, variables
+from lct3 import (
+    Ideal,
+    Poly,
+    classify,
+    cross_check,
+    ideal_product,
+    maximal_ideal,
+    unit_ideal,
+    verify_chart_identity,
+    variables,
+)
+from lct3 import ideals, multiplier, polynomials, verify
 
 F = Fraction
 
@@ -75,3 +86,89 @@ def test_cross_check_unsupported(four_three_collinear):
     assert len(report.entries) == 1
     assert report.entries[0].name == "classification"
     assert "unsupported" in report.entries[0].details
+
+
+DEFAULT_GRID = [F(1, 2), F(1), F(3, 2), F(2), F(5, 2)]
+
+# Noise-free gate on the valuation oracle: Poly.exact_div and Ideal.contains
+# calls in one cross_check at the default grid, after classify.  Each form is
+# factored once and tested against the symbolic power once; before that,
+# both were redone at every exponent (7995/2995 and 2060/2099).  The counts
+# may only go down.
+GATE_ORACLE = {"three_collinear": (1617, 2567), "six_on_conic": (478, 1795)}
+
+
+@pytest.mark.parametrize("name", sorted(GATE_ORACLE))
+def test_cross_check_oracle_counts_are_pinned(request, monkeypatch, cold_caches, name):
+    Z_ = request.getfixturevalue(name)
+    classify(Z_)
+    calls = {"exact_div": 0, "contains": 0}
+    exact_div, contains = polynomials.Poly.exact_div, ideals.Ideal.contains
+
+    def counted_exact_div(self, q):
+        calls["exact_div"] += 1
+        return exact_div(self, q)
+
+    def counted_contains(self, p):
+        calls["contains"] += 1
+        return contains(self, p)
+
+    monkeypatch.setattr(polynomials.Poly, "exact_div", counted_exact_div)
+    monkeypatch.setattr(ideals.Ideal, "contains", counted_contains)
+    assert cross_check(Z_, DEFAULT_GRID).ok
+    assert (calls["exact_div"], calls["contains"]) == GATE_ORACLE[name], calls
+
+
+def test_cross_check_assembles_the_grid_on_one_memo(monkeypatch, five_general):
+    # J(2) takes two products in its closed form and each Skoda step one;
+    # with a memo per exponent, J(3), J(4) and J(5) took 12 products
+    c = classify(five_general)
+    assert (c.kind, c.d, c.e) == ("B", 2, 3)
+    products, skoda = [], []
+    product = multiplier.ideal_product
+
+    def counted(I, J):
+        products.append((I, J))
+        if I is multiplier.ideal_of_points(five_general):
+            skoda.append(J)
+        return product(I, J)
+
+    monkeypatch.setattr(multiplier, "ideal_product", counted)
+    assert cross_check(five_general, [3, 4, 5]).ok
+    assert len(skoda) == 3
+    assert len(products) == 5
+
+
+@pytest.mark.parametrize(
+    "grid, witness",
+    [
+        (DEFAULT_GRID, "lambda=3/2, form=x"),
+        ([F(5, 2)], "lambda=5/2, form=x*y^2 - x^2*z"),
+        ([F(2), F(5, 2)], "lambda=2, form=1"),
+    ],
+)
+def test_valuation_witness_is_the_first_disagreement(
+    monkeypatch, six_on_conic, grid, witness
+):
+    # J(3/2) and J(5/2) replaced by m * J, J(2) by the unit ideal.  The
+    # report names the least exponent with a disagreement and, there, the
+    # first test form in _oracle_inputs order: on the default grid that is
+    # x at 3/2, although the form 1 disagrees earlier in form order, at 2.
+    lookup = verify._lookup
+
+    def tampered(c, Z_, lam, memo):
+        result = lookup(c, Z_, lam, memo)
+        if lam in (F(3, 2), F(5, 2)):
+            ideal = ideal_product(result.ideal, maximal_ideal())
+        elif lam == 2:
+            ideal = unit_ideal(3)
+        else:
+            return result
+        return multiplier.MultiplierIdealResult(lam, ideal, result.branch)
+
+    monkeypatch.setattr(verify, "_lookup", tampered)
+    report = cross_check(six_on_conic, grid)
+    assert not report.ok
+    (entry,) = [e for e in report.entries if e.name == "valuation-oracle"]
+    assert not entry.passed
+    assert entry.details == witness
