@@ -1,13 +1,15 @@
 """Homogeneous-ideal calculus: Groebner bases, membership, sum, product,
 power, intersection, quotient, saturation, elimination, equality.
 
-Groebner bases are computed on integer-coefficient "primitive" polynomials
-(dict exponent -> int, content 1, positive leading coefficient) so that
-reductions stay in exact integer arithmetic; results are converted back to
-monic Fraction polynomials.  One engine, `_graded`, builds every basis one
-degree at a time: each degree is one `linalg.echelon` elimination, whose
-pivot rows are the new basis elements, already reduced.  Generators that are
-not all homogeneous (the charts of `zerodim` and the t-lifted ideal of
+The calculus works on integer-coefficient "primitive" polynomials (dict
+exponent -> int, content 1, positive leading coefficient), so that it stays
+in exact integer arithmetic: an Ideal keeps its generators and its reduced
+basis in this form, a Poly is converted where it comes in, and the monic
+Fraction basis of groebner() and the Poly generators are built only when
+asked for.  One engine, `_graded`, builds every basis one degree at a
+time: each degree is one `linalg.echelon` elimination, whose pivot rows are
+the new basis elements, already reduced.  Generators that are not all
+homogeneous (the charts of `zerodim` and the t-lifted ideal of
 `ideal_intersect`) are homogenized with a new last variable first; setting
 it to 1 in their graded basis and auto-reducing gives their reduced basis.
 
@@ -73,10 +75,20 @@ def _int_from_poly(p: Poly, keyf) -> IntPoly:
     return _normalize(out, max(out, key=keyf))
 
 
-def _poly_from_int(p: IntPoly, nvars: int, keyf) -> Poly:
-    """Monic Fraction polynomial from a primitive integer polynomial."""
-    lc = p[max(p, key=keyf)]
+def _poly_from_int(p: IntPoly, lead, nvars: int) -> Poly:
+    """Monic Fraction polynomial from an integer polynomial with leading
+    exponent lead."""
+    lc = p[lead]
     return Poly({e: Fraction(c, lc) for e, c in p.items()}, nvars)
+
+
+def _is_homogeneous(p: IntPoly) -> bool:
+    return len({sum(e) for e in p}) == 1
+
+
+def _permuted(p: IntPoly, perm) -> IntPoly:
+    """Reindex variables: new exponent j is old exponent perm[j]."""
+    return {tuple(e[i] for i in perm): c for e, c in p.items()}
 
 
 def _divides(a, b) -> bool:
@@ -175,8 +187,8 @@ def _graded(gens, order: MonomialOrder):
     any of their terms, and every other element has another degree, so the
     basis comes out reduced.  Pairs are chosen by Gebauer and Moller's
     update (J. Symb. Comp. 6, 1988).  Returns the basis as a list of
-    primitive integer polynomials, leading exponents descending; of order
-    it reads only order.key."""
+    (leading exponent, primitive integer polynomial) pairs, leading
+    exponents descending; of order it reads only order.key."""
     keyf = order.key
     pending: dict = {}
     for g in gens:
@@ -193,7 +205,7 @@ def _graded(gens, order: MonomialOrder):
             pairs = _update(pairs, lts, lt)
             G.append(p)
             lts.append(lt)
-    return [p for _, p in sorted(zip(lts, G), key=lambda t: keyf(t[0]), reverse=True)]
+    return sorted(zip(lts, G), key=lambda t: keyf(t[0]), reverse=True)
 
 
 def _degree_step(rows, G, lts, keyf):
@@ -273,7 +285,7 @@ def _dehomogenized(gens, order: MonomialOrder):
         top = max(map(sum, g))
         lifted.append({e + (top - sum(e),): c for e, c in g.items()})
     graded = _graded(lifted, SimpleNamespace(key=lambda e: (sum(e), keyf(e[:-1]))))
-    return _autoreduce([{e[:-1]: c for e, c in g.items()} for g in graded], order)
+    return _autoreduce([{e[:-1]: c for e, c in g.items()} for _, g in graded], order)
 
 
 def _autoreduce(G, order: MonomialOrder):
@@ -290,8 +302,58 @@ def _autoreduce(G, order: MonomialOrder):
     # a tail term lies below its own lead, so only smaller leads divide it
     for idx in range(1, len(kept)):
         kept[idx] = _nf(kept[idx], list(zip(kept_lts[:idx], kept[:idx])), order)
-    pairs = sorted(zip(kept_lts, kept), key=lambda t: keyf(t[0]), reverse=True)
-    return [p for _, p in pairs]
+    return sorted(zip(kept_lts, kept), key=lambda t: keyf(t[0]), reverse=True)
+
+
+def _exact_quotient(h: IntPoly, g: IntPoly, lead, order: MonomialOrder):
+    """h / g when the primitive polynomial g, with leading exponent lead
+    under order, divides the integer polynomial h; else None.  By Gauss's
+    lemma such a quotient has integer coefficients, so long division stops
+    at the first leading term whose exponent or coefficient that of g does
+    not divide.  Terms get heap entries as in _nf."""
+    heap_key = order.heap_key
+    work = dict(h)
+    heap = [(heap_key(e), e) for e in work]
+    heapq.heapify(heap)
+    lc = g[lead]
+    quot: IntPoly = {}
+    while heap:
+        lt = heapq.heappop(heap)[1]
+        c = work.pop(lt, 0)
+        if not c:
+            continue
+        shift = tuple(map(sub, lt, lead))
+        k, r = divmod(c, lc)
+        if r or min(shift) < 0:
+            return None
+        quot[shift] = k
+        for e, d in g.items():
+            if e == lead:
+                continue
+            f = tuple(map(add, e, shift))
+            old = work.get(f)
+            if old is None:
+                work[f] = -k * d
+                heapq.heappush(heap, (heap_key(f), f))
+            elif old == k * d:
+                del work[f]
+            else:
+                work[f] = old - k * d
+    return quot
+
+
+def _reduced_basis(gens, order: MonomialOrder) -> tuple:
+    """The reduced Groebner basis of integer polynomials, as (leading
+    exponent, primitive polynomial) pairs, leading exponents descending:
+    the minimal exponents of monomial generators, else the basis from
+    _graded, or from _dehomogenized when not all are homogeneous."""
+    if gens and all(len(g) == 1 for g in gens):
+        exps = {next(iter(g)) for g in gens}
+        minimal = [e for e in exps if not any(m != e and _divides(m, e) for m in exps)]
+        minimal.sort(key=order.key, reverse=True)
+        return tuple((e, {e: 1}) for e in minimal)
+    engine = _graded if all(map(_is_homogeneous, gens)) else _dehomogenized
+    return tuple(engine(gens, order))
 
 
 # ---------------------------------------------------------------------------
@@ -301,107 +363,156 @@ def _autoreduce(G, order: MonomialOrder):
 class Ideal:
     """An ideal given by generators, with a cached reduced Groebner basis.
 
+    Inside, generator i is _scales[i] (1 when _scales is None) times the
+    primitive integer polynomial _ints[i], whose leading coefficient under
+    the order is positive; an ideal made from its reduced basis has
+    _ints None and that basis as its generators.  The basis is kept as
+    (leading exponent, primitive polynomial) pairs.  The Poly generators
+    and the monic basis are built on first request and cached.
+
     The reduced basis is unique for (ideal, order), so two ideals under the
     same order are equal iff their reduced bases coincide.
     """
 
-    __slots__ = ("generators", "order", "nvars", "_gb", "_gbint")
+    __slots__ = ("order", "nvars", "_ints", "_scales", "_polys", "_basis", "_gb")
 
     def __init__(self, generators, nvars=None, order: MonomialOrder = GREVLEX):
-        gens = []
+        gens = {}  # of equal generators, the first is kept
         for g in generators:
             if not isinstance(g, Poly):
                 raise TypeError("generators must be Poly")
-            if g.is_zero():
-                continue
-            if g not in gens:
-                gens.append(g)
+            if not g.is_zero():
+                gens.setdefault(g)
+        gens = tuple(gens)
         if nvars is None:
             if not gens:
                 raise ValueError("nvars required for the zero ideal")
             nvars = gens[0].nvars
         if any(g.nvars != nvars for g in gens):
             raise ValueError("generators live in different rings")
-        object.__setattr__(self, "generators", tuple(gens))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "_gb", None)
-        object.__setattr__(self, "_gbint", None)
+        keyf = order.key
+        ints = tuple(_int_from_poly(g, keyf) for g in gens)
+        scales = []
+        for g, p in zip(gens, ints):
+            lead = max(p, key=keyf)
+            scales.append(g.terms[lead] / p[lead])
+        self._fill(order, nvars, ints, tuple(scales), gens)
+
+    def _fill(self, order, nvars, ints, scales=None, polys=None, basis=None):
+        values = (order, nvars, ints, scales, polys, basis, None)
+        for slot, value in zip(self.__slots__, values):
+            object.__setattr__(self, slot, value)
 
     def __setattr__(self, *a):
         raise AttributeError("Ideal is immutable")
 
     @classmethod
-    def _seeded(cls, gb_polys, nvars, order=GREVLEX):
-        """Construct with an already-reduced basis (monic, sorted descending)."""
-        ideal = cls(gb_polys, nvars=nvars, order=order)
-        object.__setattr__(ideal, "_gb", tuple(gb_polys))
+    def _of(cls, forms, nvars, order=GREVLEX, scales=None):
+        """The ideal generated by the scales[i] * forms[i], each distinct
+        generator once, from nonzero primitive integer polynomials with
+        positive leading coefficients under order (all scales 1 when
+        scales is None)."""
+        kept = {}
+        for i, p in enumerate(forms):
+            key = frozenset(p.items())
+            kept.setdefault(key if scales is None else (key, scales[i]), i)
+        ideal = object.__new__(cls)
+        ideal._fill(
+            order,
+            nvars,
+            tuple(forms[i] for i in kept.values()),
+            None if scales is None else tuple(scales[i] for i in kept.values()),
+        )
         return ideal
 
+    @classmethod
+    def _from_basis(cls, basis, nvars, order=GREVLEX):
+        """The ideal generated by its reduced basis, given as (leading
+        exponent, primitive polynomial) pairs, leading exponents
+        descending."""
+        ideal = object.__new__(cls)
+        ideal._fill(order, nvars, None, basis=tuple(basis))
+        return ideal
+
+    # -- generators -----------------------------------------------------------
+
+    @property
+    def generators(self):
+        """The generators as Polys: as given to the constructor, the monic
+        reduced basis of an ideal made from it, such as an intersection,
+        and integral with positive leading coefficients for a product."""
+        if self._polys is None:
+            if self._ints is None:
+                polys = self.groebner()
+            else:
+                polys = tuple(
+                    Poly({e: s * c for e, c in p.items()}, self.nvars)
+                    for p, s in zip(self._ints, self._form_scales())
+                )
+            object.__setattr__(self, "_polys", polys)
+        return self._polys
+
+    def _forms(self):
+        """The generators as primitive integer polynomials."""
+        if self._ints is None:
+            return tuple(p for _, p in self._basis)
+        return self._ints
+
+    def _form_scales(self):
+        """The rationals that take _forms() to the generators."""
+        if self._ints is None:
+            return tuple(Fraction(1, p[lead]) for lead, p in self._basis)
+        return self._scales or (1,) * len(self._ints)
+
+    def _key(self):
+        """A hashable key, equal for equal generating sets."""
+        return tuple(frozenset(p.items()) for p in self._forms())
+
     # -- Groebner machinery --------------------------------------------------
+
+    def _int_basis(self):
+        """The reduced basis as (leading exponent, primitive polynomial)
+        pairs, leading exponents descending (cached)."""
+        if self._basis is None:
+            object.__setattr__(self, "_basis", _reduced_basis(self._ints, self.order))
+        return self._basis
 
     def groebner(self):
         """The reduced, monic, auto-reduced basis (deterministic, cached)."""
         if self._gb is None:
-            keyf = self.order.key
-            if self.generators and all(len(g.terms) == 1 for g in self.generators):
-                gb = self._monomial_basis(keyf)
-            else:
-                ints = [_int_from_poly(g, keyf) for g in self.generators]
-                homogeneous = all(g.is_homogeneous() for g in self.generators)
-                engine = _graded if homogeneous else _dehomogenized
-                gb = tuple(
-                    _poly_from_int(p, self.nvars, keyf)
-                    for p in engine(ints, self.order)
-                )
+            gb = tuple(_poly_from_int(p, lead, self.nvars) for lead, p in self._int_basis())
             object.__setattr__(self, "_gb", gb)
         return self._gb
-
-    def _monomial_basis(self, keyf):
-        exps = sorted({g.leading_monomial(self.order) for g in self.generators})
-        minimal = [
-            e for e in exps if not any(m != e and _divides(m, e) for m in exps)
-        ]
-        minimal.sort(key=keyf, reverse=True)
-        return tuple(Poly.monomial(e, 1) for e in minimal)
-
-    def _int_basis(self):
-        if self._gbint is None:
-            keyf = self.order.key
-            basis = []
-            for g in self.groebner():
-                ip = _int_from_poly(g, keyf)
-                basis.append((max(ip, key=keyf), ip))
-            object.__setattr__(self, "_gbint", basis)
-        return self._gbint
 
     # -- predicates -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.groebner()
+        return not self._forms()
 
     def is_unit(self) -> bool:
-        gb = self.groebner()
-        return len(gb) == 1 and gb[0].is_constant()
+        basis = self._int_basis()
+        return len(basis) == 1 and not any(basis[0][0])
 
     def contains(self, p: Poly) -> bool:
         if p.nvars != self.nvars:
             raise ValueError("polynomial lives in a different ring")
-        if p.is_zero():
-            return True
-        if self.is_unit():
-            return True
-        keyf = self.order.key
-        return not _nf(_int_from_poly(p, keyf), self._int_basis(), self.order)
+        return self._holds(_int_from_poly(p, self.order.key))
+
+    def _holds(self, p: IntPoly) -> bool:
+        """Membership of an integer polynomial: its normal form is zero."""
+        return not p or self.is_unit() or not _nf(p, self._int_basis(), self.order)
 
     def contains_ideal(self, other: "Ideal") -> bool:
         """Any generating set of other decides, so this starts no Groebner
-        computation on it: its reduced basis if cached, else its generators."""
-        gens = other.generators if other._gb is None else other._gb
-        return all(self.contains(g) for g in gens)
+        computation on it: its reduced basis if computed, else its
+        generators."""
+        if other.nvars != self.nvars:
+            raise ValueError("ideals live in different rings")
+        forms = other._forms() if other._basis is None else (p for _, p in other._basis)
+        return all(map(self._holds, forms))
 
     def leading_exponents(self):
-        return tuple(g.leading_monomial(self.order) for g in self.groebner())
+        return tuple(lead for lead, _ in self._int_basis())
 
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.groebner()) or "0"
@@ -417,7 +528,8 @@ def zero_ideal(nvars: int = 3) -> Ideal:
 
 
 def unit_ideal(nvars: int = 3) -> Ideal:
-    return Ideal._seeded([Poly.constant(1, nvars)], nvars=nvars)
+    one = (0,) * nvars
+    return Ideal._from_basis([(one, {one: 1})], nvars)
 
 
 def maximal_ideal() -> Ideal:
@@ -429,12 +541,21 @@ def maximal_ideal() -> Ideal:
 # ideal calculus
 
 
+def _under(I: Ideal, order: MonomialOrder) -> Ideal:
+    """I, or an ideal with its generators under order."""
+    return I if I.order == order else Ideal(I.generators, nvars=I.nvars, order=order)
+
+
 def ideal_sum(*ideals: Ideal) -> Ideal:
     if not ideals:
         raise ValueError("empty sum")
     nvars, order = ideals[0].nvars, ideals[0].order
-    gens = [g for I in ideals for g in I.generators]
-    return Ideal(gens, nvars=nvars, order=order)
+    if any(I.nvars != nvars for I in ideals):
+        raise ValueError("ideals live in different rings")
+    ideals = [_under(I, order) for I in ideals]
+    forms = [p for I in ideals for p in I._forms()]
+    scales = [s for I in ideals for s in I._form_scales()]
+    return Ideal._of(forms, nvars, order, scales)
 
 
 def _int_mul(f: IntPoly, g: IntPoly) -> IntPoly:
@@ -454,11 +575,11 @@ def ideal_product(I: Ideal, J: Ideal) -> Ideal:
     """Products of the generators, multiplied as primitive integer forms.
     By Gauss's lemma each product is primitive with a positive leading
     coefficient, so f*g and g*f give the same generator."""
-    keyf = I.order.key
-    fs = [_int_from_poly(f, keyf) for f in I.generators]
-    gs = [_int_from_poly(g, keyf) for g in J.generators]
-    gens = [Poly(_int_mul(f, g), I.nvars) for f in fs for g in gs]
-    return Ideal(gens, nvars=I.nvars, order=I.order)
+    if I.nvars != J.nvars:
+        raise ValueError("ideals live in different rings")
+    gs = _under(J, I.order)._forms()
+    gens = [_int_mul(f, g) for f in I._forms() for g in gs]
+    return Ideal._of(gens, I.nvars, I.order)
 
 
 def ideal_power(I: Ideal, k: int) -> Ideal:
@@ -473,8 +594,8 @@ def ideal_power(I: Ideal, k: int) -> Ideal:
 
 
 def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
-    """Intersection via a single auxiliary variable: eliminate t from
-    t*I + (1-t)*J."""
+    """Intersection via a single auxiliary variable t, placed first:
+    eliminate t from t*I + (1-t)*J, generated by the two reduced bases."""
     if I.nvars != J.nvars:
         raise ValueError("ideals live in different rings")
     n = I.nvars
@@ -486,19 +607,20 @@ def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
         return I
     if ideal_equal(I, J):
         return I
-    t = Poly.variable(0, n + 1)
-    one = Poly.constant(1, n + 1)
-    gens = [t * f.insert_var(0) for f in I.groebner()]
-    gens += [(one - t) * g.insert_var(0) for g in J.groebner()]
-    lifted = Ideal(gens, nvars=n + 1, order=elimination_order(1))
-    kept = [
-        g.drop_var(0)
-        for g in lifted.groebner()
-        if all(e[0] == 0 for e in g.terms)
-    ]
+    lifted = [{(1,) + e: c for e, c in f.items()} for _, f in I._int_basis()]
+    for _, g in J._int_basis():
+        h = {(1,) + e: -c for e, c in g.items()}
+        h.update(((0,) + e, c) for e, c in g.items())
+        lifted.append(h)
     # the t-free part of the reduced elimination basis is the reduced
-    # grevlex basis of the intersection, so seed the cache
-    return Ideal._seeded(kept, nvars=n, order=GREVLEX)
+    # grevlex basis of the intersection
+    basis = _reduced_basis(lifted, elimination_order(1))
+    kept = [
+        (lead[1:], {e[1:]: c for e, c in p.items()})
+        for lead, p in basis
+        if lead[0] == 0
+    ]
+    return Ideal._from_basis(kept, n)
 
 
 def ideal_quotient(I: Ideal, J: Ideal) -> Ideal:
@@ -507,12 +629,15 @@ def ideal_quotient(I: Ideal, J: Ideal) -> Ideal:
         return unit_ideal(I.nvars)
     if I.is_zero() or J.is_unit():
         return I
+    n = I.nvars
     parts = []
-    for g in J.groebner():
-        K = ideal_intersect(I, Ideal([g], nvars=I.nvars, order=I.order))
-        # K lies in (g), so g divides each of its elements exactly
-        quot = [h.exact_div(g) for h in K.groebner()]
-        parts.append(Ideal(quot, nvars=I.nvars, order=I.order))
+    for lead, g in J._int_basis():
+        K = ideal_intersect(I, Ideal._of([g], n, J.order))
+        # K lies in (g), so g divides each element of its basis exactly; the
+        # generators are the monic quotients
+        quot = [_exact_quotient(h, g, lead, J.order) for _, h in K._int_basis()]
+        scales = [Fraction(g[lead], h[lt]) for lt, h in K._int_basis()]
+        parts.append(Ideal._of(quot, n, I.order, scales))
     return _fold(ideal_intersect, parts)
 
 
@@ -531,32 +656,40 @@ def saturate(I: Ideal, J: Ideal) -> Ideal:
     if J.nvars != n:
         raise ValueError("ideals live in different rings")
     variables = []
-    for g in J.groebner():
-        e = next(iter(g.terms))
-        if len(g.terms) != 1 or sum(e) != 1:
+    for lead, g in J._int_basis():
+        if len(g) != 1 or sum(lead) != 1:
             raise ValueError("saturate needs an ideal generated by variables")
-        variables.append(e.index(1))
+        variables.append(lead.index(1))
     if not variables:
         raise ValueError("saturate needs an ideal generated by variables")
-    if not all(g.is_homogeneous() for g in I.generators):
+    forms = I._forms()
+    if not all(map(_is_homogeneous, forms)):
         raise ValueError("saturate needs a homogeneous ideal")
+    keyf = GREVLEX.key
     parts = []
     for v in variables:
         perm = tuple(i for i in range(n) if i != v) + (v,)
         inverse = tuple(perm.index(i) for i in range(n))
         if v == n - 1 and I.order == GREVLEX:
-            moved = I  # its own grevlex basis, computed at most once
+            basis = I._int_basis()  # its own grevlex basis, computed at most once
         else:
-            moved = Ideal([g.permute(perm) for g in I.generators], nvars=n)
-        quotient = [_divide_out_last(g).permute(inverse) for g in moved.groebner()]
-        parts.append(Ideal(quotient, nvars=n))
+            basis = _reduced_basis([_permuted(g, perm) for g in forms], GREVLEX)
+        # the generators are the basis elements divided out, monic in the
+        # moved order, so their scales carry the sign that orients them
+        quotient, scales = [], []
+        for lead, g in basis:
+            q = _permuted(_divide_out_last(g), inverse)
+            sign = 1 if q[max(q, key=keyf)] > 0 else -1
+            quotient.append({e: sign * c for e, c in q.items()})
+            scales.append(Fraction(sign, g[lead]))
+        parts.append(Ideal._of(quotient, n, GREVLEX, scales))
     return _fold(ideal_intersect, parts)
 
 
-def _divide_out_last(p: Poly) -> Poly:
+def _divide_out_last(p: IntPoly) -> IntPoly:
     """p divided by the largest power of its last variable that divides it."""
-    k = min(e[-1] for e in p.terms)
-    return Poly({e[:-1] + (e[-1] - k,): c for e, c in p.terms.items()}, p.nvars)
+    k = min(e[-1] for e in p)
+    return {e[:-1] + (e[-1] - k,): c for e, c in p.items()}
 
 
 def eliminate(I: Ideal, var: int) -> Ideal:
@@ -568,17 +701,13 @@ def eliminate(I: Ideal, var: int) -> Ideal:
         return I
     perm = (var,) + tuple(i for i in range(n) if i != var)
     inverse = tuple(perm.index(i) for i in range(n))
-    moved = Ideal(
-        [g.permute(perm) for g in I.generators],
-        nvars=n,
-        order=elimination_order(1),
-    )
+    basis = _reduced_basis([_permuted(g, perm) for g in I._forms()], elimination_order(1))
     kept = [
-        g.permute(inverse)
-        for g in moved.groebner()
-        if all(e[0] == 0 for e in g.terms)
+        (tuple(lead[i] for i in inverse), _permuted(p, inverse))
+        for lead, p in basis
+        if lead[0] == 0
     ]
-    return Ideal._seeded(kept, nvars=n, order=GREVLEX)
+    return Ideal._from_basis(kept, n)
 
 
 def ideal_equal(I: Ideal, J: Ideal) -> bool:
@@ -588,4 +717,4 @@ def ideal_equal(I: Ideal, J: Ideal) -> bool:
         raise ValueError("ideal equality requires a common monomial order")
     if I.nvars != J.nvars:
         return False
-    return I.generators == J.generators or I.groebner() == J.groebner()
+    return I._forms() == J._forms() or I._int_basis() == J._int_basis()

@@ -12,6 +12,9 @@ from fractions import Fraction
 from .envelopes import Classification
 from .ideals import (
     Ideal,
+    _exact_quotient,
+    _int_from_poly,
+    _is_homogeneous,
     ideal_equal,
     ideal_intersect,
     ideal_product,
@@ -19,7 +22,7 @@ from .ideals import (
     unit_ideal,
 )
 from .points import PointSet, ideal_of_points, symbolic_power
-from .polynomials import Poly, monomials_of_degree
+from .polynomials import GREVLEX, Poly, monomials_of_degree
 
 LAMBDA_CAP = Fraction(10)
 
@@ -52,8 +55,7 @@ def power_of_m(k: int) -> Ideal:
     the closed formulas return (1) below the log canonical threshold)."""
     if k <= 0:
         return unit_ideal(3)
-    gens = [Poly.monomial(e, 1) for e in monomials_of_degree(k)]
-    return Ideal._seeded(gens, nvars=3)
+    return Ideal._from_basis([(e, {e: 1}) for e in monomials_of_degree(k)], 3)
 
 
 class UnsupportedArrangement(ValueError):
@@ -161,7 +163,7 @@ def _meet(I: Ideal, J: Ideal, memo: dict) -> Ideal:
     """I ∩ J, keyed in the memo by both generating sets, so exponents whose
     floor terms give the same generators share one ideal object and one
     basis."""
-    key = (I.generators, J.generators)
+    key = (I._key(), J._key())
     ideal = memo.get(key)
     if ideal is None:
         ideal = memo[key] = ideal_intersect(I, J)
@@ -227,18 +229,20 @@ def membership_by_valuation(
     Both cases additionally require membership in the (floor(lam)-1)-th
     symbolic power.
     """
-    return _valuation_memberships(c, Z, G, [lam])[0]
+    return _valuation_memberships(c, Z, [_int_from_poly(G, GREVLEX.key)], [lam])[0][0]
 
 
-def _valuation_memberships(c: Classification, Z: PointSet, G: Poly, lams) -> list:
-    """membership_by_valuation of one form at each exponent of lams.  What
-    does not depend on lam is computed once: the F-adic factorization of G
-    (Case B), and its membership in each symbolic power that some exponent
-    needs once its degree test passes."""
+def _valuation_memberships(c: Classification, Z: PointSet, forms, lams) -> list:
+    """membership_by_valuation at each exponent of lams, for each form of
+    forms given as a primitive integer polynomial (ideals._int_from_poly).
+    What does not depend on lam is computed once per form: the F-adic
+    factorization (Case B), by exact integer division, and its membership
+    in each symbolic power that some exponent needs once its degree test
+    passes."""
     lams = [as_lambda(lam) for lam in lams]
     if any(lam >= 3 for lam in lams):
         raise ValueError("valuation test only covers exponents below 3")
-    if G.is_zero() or not G.is_homogeneous():
+    if not all(G and _is_homogeneous(G) for G in forms):
         raise ValueError("expected a nonzero homogeneous form")
     _require_supported(c)
     if c.kind == "C":
@@ -246,24 +250,30 @@ def _valuation_memberships(c: Classification, Z: PointSet, G: Poly, lams) -> lis
     # Case A is the single test j = 0 with a = 0
     d = c.d
     e = c.e if c.kind == "B" else d
-    H, a = G, 0
-    while c.kind == "B":
-        q = H.exact_div(c.curve_form)
-        if q is None:
-            break
-        H, a = q, a + 1
-    degH = H.total_degree()
-    in_power: dict = {}
+    if c.kind == "B":
+        F = _int_from_poly(c.curve_form, GREVLEX.key)
+        lead = max(F, key=GREVLEX.key)
     out = []
-    for lam in lams:
-        ok = all(
-            degH + (d + j) * a >= math.floor(lam * (d + j)) - (2 + j)
-            for j in range(e - d + 1)
-        )
-        k = math.floor(lam) - 1
-        if ok and k > 0:
-            if k not in in_power:
-                in_power[k] = symbolic_power(Z, k).contains(G)
-            ok = in_power[k]
-        out.append(ok)
+    for G in forms:
+        H, a = G, 0
+        while c.kind == "B":
+            q = _exact_quotient(H, F, lead, GREVLEX)
+            if q is None:
+                break
+            H, a = q, a + 1
+        degH = sum(next(iter(H)))
+        in_power: dict = {}
+        answers = []
+        for lam in lams:
+            ok = all(
+                degH + (d + j) * a >= math.floor(lam * (d + j)) - (2 + j)
+                for j in range(e - d + 1)
+            )
+            k = math.floor(lam) - 1
+            if ok and k > 0:
+                if k not in in_power:
+                    in_power[k] = symbolic_power(Z, k)._holds(G)
+                ok = in_power[k]
+            answers.append(ok)
+        out.append(answers)
     return out

@@ -100,4 +100,4 @@ def monomial_mi(generators, lam) -> Ideal:
             found.append(v)
     minimal = [v for v in found if not any(w != v and _divides(w, v) for w in found)]
     minimal.sort(key=grevlex_key, reverse=True)
-    return Ideal._seeded([Poly.monomial(e, 1) for e in minimal], nvars=3)
+    return Ideal._from_basis([(e, {e: 1}) for e in minimal], 3)

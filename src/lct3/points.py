@@ -138,7 +138,7 @@ def ideal_of_points(Z: PointSet) -> Ideal:
     Z in affine 3-space), generated by its pieces of degree <= t + 1 and
     kept as its reduced grevlex basis."""
     forms = [f for piece in hilbert_pieces(Z) for f in piece.basis]
-    return Ideal._seeded(Ideal(forms, nvars=3).groebner(), nvars=3)
+    return Ideal._from_basis(Ideal(forms, nvars=3)._int_basis(), 3)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -79,7 +79,7 @@ def elimination_order(block: int) -> MonomialOrder:
 def _as_fraction(c) -> Fraction:
     if isinstance(c, float):
         raise TypeError("float coefficients are not allowed; use Fraction")
-    return Fraction(c)
+    return c if type(c) is Fraction else Fraction(c)
 
 
 class Poly:

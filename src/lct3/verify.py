@@ -11,6 +11,7 @@ from functools import reduce
 from .envelopes import classify
 from .ideals import (
     Ideal,
+    _int_from_poly,
     ideal_equal,
     ideal_intersect,
     ideal_power,
@@ -20,7 +21,7 @@ from .ideals import (
 from .multiplier import _capped, _lookup, _valuation_memberships, as_lambda
 from .newton import monomial_mi
 from .points import PointSet, ideal_of_points
-from .polynomials import Poly, monomials_of_degree
+from .polynomials import GREVLEX, Poly, monomials_of_degree
 
 ORACLE_DEGREE_BOUND = 8
 ORACLE_POWER_BOUND = 3
@@ -137,13 +138,15 @@ def cross_check(Z: PointSet, lam_grid) -> CrossCheckReport:
     if c.kind in ("A", "B"):
         forms = _oracle_inputs(c)
         lams = [lam for lam in grid if lam < 3]
-        # each form factored once, each symbolic power tested once per form
-        oracle = [_valuation_memberships(c, Z, G, lams) for G in forms if lams]
+        # each form converted and factored once, each symbolic power tested
+        # once per form
+        ints = [_int_from_poly(G, GREVLEX.key) for G in forms]
+        oracle = _valuation_memberships(c, Z, ints, lams) if lams else []
         witness = None
         for i, lam in enumerate(lams):
             J = assembled[lam]
-            for G, answers in zip(forms, oracle):
-                if answers[i] != J.contains(G):
+            for G, p, answers in zip(forms, ints, oracle):
+                if answers[i] != J._holds(p):
                     witness = f"lambda={lam}, form={G}"
                     break
             if witness:

@@ -1,10 +1,14 @@
 import heapq
+import math
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 import sympy
+from sympy.polys import groebnertools
+from sympy.polys.orderings import ProductOrder, grevlex, lex
+from sympy.polys.rings import ring
 from hypothesis import assume, example, given, settings, strategies as st
 
 from lct3 import (
@@ -27,6 +31,7 @@ from lct3 import (
     ideal_sum,
     maximal_ideal,
     monomials_of_degree,
+    poly_from_string,
     saturate,
     unit_ideal,
     variables,
@@ -328,7 +333,7 @@ def test_contains_ideal_starts_no_groebner_run_on_its_argument():
         for J in (I, K, ideal_sum(I, K)):
             P = ideal_power(I, 2)
             answer = J.contains_ideal(P)
-            assert P._gb is None
+            assert P._basis is None
             assert answer == all(J.contains(g) for g in P.groebner())
             answers.add(answer)
     assert answers == {True, False}
@@ -363,12 +368,13 @@ def test_normal_form_beyond_any_key_width():
 
 # The graded engine (one degree at a time, inhomogeneous generators
 # homogenized first) against Buchberger's algorithm as the reference: both
-# return the reduced basis as primitive integer polynomials sorted by leading
-# exponent, so they must agree term for term.
+# return the reduced basis as (leading exponent, primitive integer
+# polynomial) pairs sorted by leading exponent, so they must agree term for
+# term.
 
 
 def reference_buchberger(gens, order):
-    """Reduced Groebner basis (list of primitive IntPoly, descending leads)
+    """Reduced Groebner basis (list of (lead, primitive IntPoly), descending)
     by Buchberger's algorithm: pairs by ascending lcm degree with the product
     criterion and the chain criterion (justified only by pairs treated
     strictly earlier, so discards are well-founded), reduced by normal forms
@@ -440,7 +446,7 @@ def assert_engines_agree(forms, order=GREVLEX):
     assert graded == reference_buchberger(ints, order)
     # Ideal.groebner takes the graded engine for these generators
     assert I.groebner() == tuple(
-        ideals._poly_from_int(p, 3, order.key) for p in graded
+        ideals._poly_from_int(p, lead, 3) for lead, p in graded
     )
 
 
@@ -531,25 +537,60 @@ def inhomogeneous_polys(draw, nvars):
     return polys
 
 
-def assert_matches_reference(polys, nvars, order):
-    from lct3 import ideals
+def _sympy_order(order):
+    if order.tag == "elim":
+        b = order.block
+        return ProductOrder((grevlex, lambda m: m[:b]), (grevlex, lambda m: m[b:]))
+    return {"grevlex": grevlex, "lex": lex}[order.tag]
 
+
+def sympy_reference(polys, nvars, order):
+    """The reduced Groebner basis by sympy's F5B (Buchberger's algorithm
+    with the F5 criteria), as monic Polys, leading monomials descending.
+    reference_buchberger picks pairs by lcm degree and keeps unreduced
+    intermediate elements, and on some inhomogeneous draws their
+    coefficients reach tens of thousands of bits, so that it runs for
+    minutes; F5B took 0.4 and 1.7 s on two such draws (SLOW_FOR_BUCHBERGER)
+    and at most 0.12 s on 2000 others."""
+    R, *_ = ring([f"v{i}" for i in range(nvars)], sympy.QQ, _sympy_order(order))
+    seq = [
+        R.from_dict({e: sympy.QQ(c.numerator, c.denominator) for e, c in p.terms.items()})
+        for p in polys
+        if not p.is_zero()
+    ]
+    basis = [
+        Poly({e: Fraction(int(c.numerator), int(c.denominator)) for e, c in g.items()}, nvars)
+        for g in (groebnertools.groebner(seq, R, method="f5b") if seq else [])
+    ]
+    basis.sort(key=lambda g: order.key(g.leading_monomial(order)), reverse=True)
+    return tuple(g.monic(order) for g in basis)
+
+
+def assert_matches_reference(polys, nvars, order):
     I = Ideal(polys, nvars=nvars, order=order)
-    ints = [ideals._int_from_poly(g, order.key) for g in I.generators]
-    assert I.groebner() == tuple(
-        ideals._poly_from_int(p, nvars, order.key)
-        for p in reference_buchberger(ints, order)
-    )
+    assert I.groebner() == sympy_reference(polys, nvars, order)
+
+
+# Two draws on which reference_buchberger ran past 120 s.
+SLOW_FOR_BUCHBERGER = [
+    [
+        poly_from_string(text, 4)
+        for text in (first, "2*x^3 - t*x + 2*y*z + 2", "-2*y^3 + t^2*z + z^3 - 2*t^2")
+    ]
+    for first in ("2*t*x*z + 3*y - 3", "3*x^3 + 2*y - 3")
+]
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    data=st.data(),
-    nvars=st.integers(2, 4),
+    case=st.integers(2, 4).flatmap(lambda n: st.tuples(st.just(n), inhomogeneous_polys(n))),
     order=st.sampled_from([GREVLEX, LEX, elimination_order(1)]),
 )
-def test_inhomogeneous_bases_match_buchberger(data, nvars, order):
-    assert_matches_reference(data.draw(inhomogeneous_polys(nvars)), nvars, order)
+@example(case=(4, SLOW_FOR_BUCHBERGER[0]), order=LEX)
+@example(case=(4, SLOW_FOR_BUCHBERGER[1]), order=LEX)
+def test_inhomogeneous_bases_match_buchberger(case, order):
+    nvars, polys = case
+    assert_matches_reference(polys, nvars, order)
 
 
 def test_inhomogeneous_bases_of_the_package_match_buchberger():
@@ -565,3 +606,156 @@ def test_inhomogeneous_bases_of_the_package_match_buchberger():
     chart = [g.set_var_one(2) for g in points.groebner()]
     assert_matches_reference(chart, 2, GREVLEX)
     assert_matches_reference(chart, 2, LEX)
+
+
+# The integer-native calculus against the Fraction side: products of the
+# Poly generators, the monic reduced basis by reference_buchberger, and for
+# the intersection its elimination of t from the t-lift of the Poly
+# generators; membership by division in Fraction arithmetic.
+
+
+def primitive(p, order=GREVLEX):
+    """The integral Poly with content 1 and a positive leading coefficient
+    under order that is a rational multiple of p."""
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    q = p * den
+    q = q * Fraction(1, math.gcd(*(c.numerator for c in q.terms.values())))
+    return q if q.leading_coefficient(order) > 0 else -q
+
+
+@settings(max_examples=60, deadline=None)
+@given(first=homogeneous_forms(max_forms=2), second=homogeneous_forms(max_forms=2))
+def test_exact_quotient_matches_exact_div(first, second):
+    from lct3 import ideals
+
+    f, g = Poly.constant(1, 3), Poly.constant(1, 3)
+    for p in first:
+        f = f * p
+    for p in second:
+        g = g * p
+    assume(not f.is_zero() and not g.is_zero())
+    as_int = lambda p: {e: int(c) for e, c in primitive(p).terms.items()}
+    lead = g.leading_monomial()
+    # f*g is divisible, f mostly not
+    for h in (f * g, f):
+        q = ideals._exact_quotient(as_int(h), as_int(g), lead, GREVLEX)
+        expected = h.exact_div(g)
+        assert (q is None) == (expected is None)
+        if q is not None:
+            assert Poly(q, 3) == primitive(expected)
+
+
+def reference_basis(polys, nvars=3, order=GREVLEX):
+    """The monic reduced basis by reference_buchberger."""
+    ints = [primitive(p) for p in polys if not p.is_zero()]
+    ints = [{e: int(c) for e, c in p.terms.items()} for p in ints]
+    return tuple(
+        Poly({e: Fraction(c, p[lead]) for e, c in p.items()}, nvars)
+        for lead, p in reference_buchberger(ints, order)
+    )
+
+
+def reference_intersection(I, J):
+    t, one = Poly.variable(0, 4), Poly.constant(1, 4)
+    lift = [t * f.insert_var(0) for f in I.generators]
+    lift += [(one - t) * g.insert_var(0) for g in J.generators]
+    basis = reference_basis(lift, 4, elimination_order(1))
+    return tuple(g.drop_var(0) for g in basis if g.leading_monomial(elimination_order(1))[0] == 0)
+
+
+def fraction_remainder(p, basis):
+    """The remainder of p on division by a monic grevlex basis."""
+    work, rem = dict(p.terms), {}
+    while work:
+        lt = max(work, key=GREVLEX.key)
+        c = work.pop(lt)
+        for g in basis:
+            lead = g.leading_monomial()
+            if _divides(lead, lt):
+                shift = tuple(a - b for a, b in zip(lt, lead))
+                for e, d in g.terms.items():
+                    f = tuple(a + s for a, s in zip(e, shift))
+                    if f != lt:
+                        work[f] = work.get(f, 0) - c * d
+                        if not work[f]:
+                            del work[f]
+                break
+        else:
+            rem[lt] = c
+    return rem
+
+
+rational_forms = st.integers(0, 3).flatmap(
+    lambda t: st.builds(
+        lambda coeffs, scale: Poly(dict(zip(monomials_of_degree(t), coeffs)), 3) * scale,
+        st.lists(st.integers(-3, 3), min_size=len(monomials_of_degree(t)), max_size=len(monomials_of_degree(t))),
+        st.builds(Fraction, st.integers(1, 6), st.integers(1, 6)),
+    )
+)
+
+
+def reference_saturation_generators(I, v):
+    """saturate's generators for the one variable v, as the Fraction side
+    computes them: the monic basis with v moved last, each element divided
+    by its largest power of v."""
+    perm = tuple(i for i in range(3) if i != v) + (v,)
+    inverse = tuple(perm.index(i) for i in range(3))
+    out = []
+    for g in Ideal([g.permute(perm) for g in I.generators]).groebner():
+        k = min(e[-1] for e in g.terms)
+        out.append(Poly({e[:-1] + (e[-1] - k,): c for e, c in g.terms.items()}, 3))
+    return tuple(dict.fromkeys(g.permute(inverse) for g in out))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    I=homogeneous_ideals(),
+    J=homogeneous_ideals(),
+    forms=st.lists(rational_forms, max_size=3),
+    v=st.integers(0, 2),
+)
+def test_integer_calculus_matches_the_fraction_side(I, J, forms, v):
+    P = ideal_product(I, J)
+    products = [f * g for f in I.generators for g in J.generators]
+    assert P.generators == tuple(dict.fromkeys(primitive(h) for h in products))
+    assert all(c.denominator == 1 for g in P.generators for c in g.terms.values())
+    assert P.groebner() == reference_basis(products)
+    assert ideal_equal(P, Ideal(products))
+    # under another order, the product orients its forms by the first factor's
+    L = Ideal(I.generators, nvars=3, order=LEX)
+    assert ideal_product(L, J).generators == tuple(
+        dict.fromkeys(primitive(h, LEX) for h in products)
+    )
+
+    K = ideal_intersect(I, J)
+    assert K.groebner() == reference_intersection(I, J)
+    if K is not I and K is not J:  # else one of them, as it was given
+        assert K.generators == K.groebner()
+        assert all(g.leading_coefficient() == 1 for g in K.generators)
+    basis_I = reference_basis(I.generators)
+    assert ideal_equal(K, I) == (K.groebner() == basis_I)
+    S = ideal_sum(I, K)
+    assert S.generators == tuple(dict.fromkeys(I.generators + K.generators))
+    assert ideal_equal(S, I)
+
+    # members of I J, inside K, and forms that mostly lie outside it
+    members = [f * g for f, g in zip(I.generators, reversed(J.generators))]
+    for p in members + [p * g for p in forms for g in I.generators[:1]] + forms:
+        expected = not fraction_remainder(p, K.groebner())
+        assert K.contains(p) == expected
+        assert I.contains(p) == (not fraction_remainder(p, basis_I))
+    assert all(K.contains(p) for p in members)
+
+    # the quotient by a principal ideal and the saturation by one variable
+    # keep the generators the Fraction side gives them
+    for f in forms:
+        if f.total_degree() > 0:  # by a unit, the quotient is I as given
+            (g,) = Ideal([f]).groebner()
+            quotient = (h.exact_div(g) for h in ideal_intersect(I, Ideal([f])).groebner())
+            assert ideal_quotient(I, Ideal([f])).generators == tuple(dict.fromkeys(quotient))
+    variable = Ideal([Poly.variable(v, 3)])
+    S = saturate(I, variable)
+    assert S.generators == reference_saturation_generators(I, v)
+    assert ideal_product(S, J).generators == tuple(
+        dict.fromkeys(primitive(f * g) for f in S.generators for g in J.generators)
+    )

@@ -21,7 +21,8 @@ from lct3 import (
     power_of_m,
     symbolic_power,
 )
-from lct3 import PointSet, general_points, monomials_of_degree
+from lct3 import GREVLEX, PointSet, general_points, monomials_of_degree
+from lct3.ideals import _int_from_poly
 from lct3.multiplier import _require_supported, _valuation_memberships
 from lct3.verify import _oracle_inputs
 
@@ -231,6 +232,11 @@ def reference_membership_by_valuation(c, Z_, G, lam):
     )
 
 
+def memberships(c, Z_, G, lams):
+    """_valuation_memberships of the one form G, given as a Poly."""
+    return _valuation_memberships(c, Z_, [_int_from_poly(G, GREVLEX.key)], lams)[0]
+
+
 lambdas_below_3 = st.lists(
     st.builds(Fraction, st.integers(0, 35), st.integers(1, 12)).filter(
         lambda lam: lam < 3
@@ -252,7 +258,7 @@ def assert_oracle_matches_reference(c, Z_, data, lams):
             G = G * c.curve_form ** data.draw(st.integers(0, 3))
         sample.append(G)
     for G in sample:
-        got = _valuation_memberships(c, Z_, G, lams)
+        got = memberships(c, Z_, G, lams)
         want = [reference_membership_by_valuation(c, Z_, G, lam) for lam in lams]
         assert got == want, (str(G), lams)
         assert got[:1] == [membership_by_valuation(c, Z_, G, lams[0])]
@@ -294,11 +300,11 @@ def test_valuation_memberships_validate_like_the_public_oracle(
 ):
     c = classify(coordinate_points)
     with pytest.raises(TypeError):
-        _valuation_memberships(c, coordinate_points, X, [1, 0.5])
+        memberships(c, coordinate_points, X, [1, 0.5])
     with pytest.raises(ValueError, match="only covers exponents below 3"):
-        _valuation_memberships(c, coordinate_points, X, [1, 3])
+        memberships(c, coordinate_points, X, [1, 3])
     with pytest.raises(ValueError, match="nonzero homogeneous form"):
-        _valuation_memberships(c, coordinate_points, X + X * X, [1])
+        memberships(c, coordinate_points, X + X * X, [1])
     with pytest.raises(ValueError, match="no valuation oracle for Case C"):
-        _valuation_memberships(classify(eight_general), eight_general, X, [1])
-    assert _valuation_memberships(c, coordinate_points, X, []) == []
+        memberships(classify(eight_general), eight_general, X, [1])
+    assert memberships(c, coordinate_points, X, []) == []

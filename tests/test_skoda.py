@@ -8,7 +8,6 @@ from fractions import Fraction
 from hypothesis import assume, given, settings, strategies as st
 
 from lct3 import (
-    Ideal,
     classify,
     general_points,
     ideal_equal,
@@ -79,30 +78,32 @@ def test_skoda_chain_is_assembled_once_per_call(monkeypatch, five_general):
 # Case B set of five points, from empty arrangement caches.  The counts may
 # only go down.
 GATE_ASSEMBLED = 21  # J(0) plus each of the 20 candidates, once
-# Fresh Groebner bases computed by the scan.  Two candidates in [2, 3) whose
-# floor terms give the same generators share one intersection with I_Z
-# (19 when each built its own).
+# Fresh Groebner bases computed by the scan, counted where the engine is
+# entered, on integer polynomials.  Two candidates in [2, 3) whose floor
+# terms give the same generators share one intersection with I_Z (19 when
+# each built its own).
 GATE_GROEBNER = 17
 
 
 def test_jump_scan_counts_are_pinned(monkeypatch, cold_caches, five_general):
+    from lct3 import ideals
+
     c = classify(five_general)  # caches the ideal of the points and its basis
     assert (c.kind, c.d, c.e) == ("B", 2, 3)
     assembled = Counter()
     computed = []
-    assemble, groebner = multiplier._assemble, Ideal.groebner
+    assemble, reduced_basis = multiplier._assemble, ideals._reduced_basis
 
     def counted_assemble(c, Z, lam, memo):
         assembled[lam] += 1
         return assemble(c, Z, lam, memo)
 
-    def counted_groebner(self):
-        if self._gb is None:
-            computed.append(self)
-        return groebner(self)
+    def counted_reduced_basis(gens, order):
+        computed.append(gens)
+        return reduced_basis(gens, order)
 
     monkeypatch.setattr(multiplier, "_assemble", counted_assemble)
-    monkeypatch.setattr(Ideal, "groebner", counted_groebner)
+    monkeypatch.setattr(ideals, "_reduced_basis", counted_reduced_basis)
     table = jumping_numbers(c, five_general, 5)
     assert table.lct == Fraction(4, 3)
     assert set(assembled.values()) == {1}

@@ -14,7 +14,7 @@ from lct3 import (
     verify_chart_identity,
     variables,
 )
-from lct3 import ideals, multiplier, polynomials, verify
+from lct3 import ideals, multiplier, verify
 
 F = Fraction
 
@@ -90,11 +90,12 @@ def test_cross_check_unsupported(four_three_collinear):
 
 DEFAULT_GRID = [F(1, 2), F(1), F(3, 2), F(2), F(5, 2)]
 
-# Noise-free gate on the valuation oracle: Poly.exact_div and Ideal.contains
-# calls in one cross_check at the default grid, after classify.  Each form is
-# factored once and tested against the symbolic power once; before that,
-# both were redone at every exponent (7995/2995 and 2060/2099).  The counts
-# may only go down.
+# Noise-free gate on the valuation oracle: exact integer divisions by the
+# curve form and integer membership tests (Ideal._holds, which the public
+# contains and contains_ideal also call) in one cross_check at the default
+# grid, after classify.  Each form is converted and factored once and tested
+# against the symbolic power once; before that, both were redone at every
+# exponent (7995/2995 and 2060/2099).  The counts may only go down.
 GATE_ORACLE = {"three_collinear": (1617, 2567), "six_on_conic": (478, 1795)}
 
 
@@ -102,21 +103,21 @@ GATE_ORACLE = {"three_collinear": (1617, 2567), "six_on_conic": (478, 1795)}
 def test_cross_check_oracle_counts_are_pinned(request, monkeypatch, cold_caches, name):
     Z_ = request.getfixturevalue(name)
     classify(Z_)
-    calls = {"exact_div": 0, "contains": 0}
-    exact_div, contains = polynomials.Poly.exact_div, ideals.Ideal.contains
+    calls = {"divide": 0, "holds": 0}
+    divide, holds = multiplier._exact_quotient, ideals.Ideal._holds
 
-    def counted_exact_div(self, q):
-        calls["exact_div"] += 1
-        return exact_div(self, q)
+    def counted_divide(*args):
+        calls["divide"] += 1
+        return divide(*args)
 
-    def counted_contains(self, p):
-        calls["contains"] += 1
-        return contains(self, p)
+    def counted_holds(self, p):
+        calls["holds"] += 1
+        return holds(self, p)
 
-    monkeypatch.setattr(polynomials.Poly, "exact_div", counted_exact_div)
-    monkeypatch.setattr(ideals.Ideal, "contains", counted_contains)
+    monkeypatch.setattr(multiplier, "_exact_quotient", counted_divide)
+    monkeypatch.setattr(ideals.Ideal, "_holds", counted_holds)
     assert cross_check(Z_, DEFAULT_GRID).ok
-    assert (calls["exact_div"], calls["contains"]) == GATE_ORACLE[name], calls
+    assert (calls["divide"], calls["holds"]) == GATE_ORACLE[name], calls
 
 
 def test_cross_check_assembles_the_grid_on_one_memo(monkeypatch, five_general):
