@@ -9,6 +9,7 @@ import hashlib
 import json
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -48,8 +49,22 @@ def parse_rational(text: str, what: str) -> Fraction:
         raise InputError(f"{what}: not an exact rational: {text!r} ({exc})")
 
 
+@contextmanager
+def any_length():
+    """Lift the interpreter's limit on integer digits while output is
+    rendered, and restore it after: the limit guards the parsing of input,
+    but an exact result may hold integers of any length."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def ideal_generators(I) -> list:
-    return [poly_str(g) for g in I.groebner()] or ["0"]
+    with any_length():
+        return [poly_str(g) for g in I.groebner()] or ["0"]
 
 
 def classification_doc(c) -> dict:
@@ -69,7 +84,8 @@ def classification_doc(c) -> dict:
         if c.e is not None:
             doc["e"] = c.e
     if c.kind == "B":
-        doc["curve_form"] = poly_str(c.curve_form)
+        with any_length():
+            doc["curve_form"] = poly_str(c.curve_form)
     if c.kind == "C":
         doc["w_generators"] = ideal_generators(c.w_ideal)
         doc["zd_generators"] = ideal_generators(c.zd_ideal)
@@ -83,7 +99,8 @@ def classification_doc(c) -> dict:
 
 
 def _point_strings(Z: PointSet) -> list:
-    return [[str(c) for c in p.coords] for p in Z]
+    with any_length():  # normalizing a point can lengthen its coordinates
+        return [[str(c) for c in p.coords] for p in Z]
 
 
 def input_digest(points: list) -> str:
@@ -103,6 +120,8 @@ def load_arrangement(path: str, seed_override=None):
         raise InputError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         )
+    except ValueError as exc:  # an integer past the digit limit
+        raise InputError(f"invalid JSON: {exc}")
     if not isinstance(doc, dict):
         raise InputError("the arrangement file must hold a JSON object")
     echo: dict = {}

@@ -158,7 +158,7 @@ def classify(Z: PointSet) -> Classification:
     if descriptor == CURVE:
         # the curve's form vanishes on Z in degree <= d, and d is the first
         # nonzero piece, so the piece is spanned by that form
-        (form,) = first_piece.generators
+        (form,) = hilbert_pieces(Z)[d].basis
         if is_smooth_plane_curve(form):
             return Classification(kind="B", d=d, e=e, curve_form=form, report=report)
         return Classification(

@@ -1,12 +1,14 @@
 """Homogeneous-ideal calculus: Groebner bases, membership, sum, product,
 power, intersection, quotient, saturation, elimination, equality.
 
-The calculus works on integer-coefficient "primitive" polynomials (dict
-exponent -> int, content 1, positive leading coefficient), so that it stays
-in exact integer arithmetic: an Ideal keeps its generators and its reduced
-basis in this form, a Poly is converted where it comes in, and the monic
-Fraction basis of groebner() and the Poly generators are built only when
-asked for.  One engine, `_graded`, builds every basis one degree at a
+An Ideal has one representation: its generators as integer-coefficient
+"primitive" polynomials (dict exponent -> int, content 1, positive leading
+coefficient under grevlex) and its cached reduced grevlex basis in the same
+form, so that the calculus stays in exact integer arithmetic.  A Poly is
+converted where it comes in; the monic Fraction basis of groebner() and the
+Poly generators are built only when asked for.  Other orders appear only
+inside intersection and elimination, which pass them to the engine
+directly.  One engine, `_graded`, builds every basis one degree at a
 time: each degree is one `linalg.echelon` elimination, whose pivot rows are
 the new basis elements, already reduced.  Generators that are not all
 homogeneous (the charts of `zerodim` and the t-lifted ideal of
@@ -73,6 +75,14 @@ def _int_from_poly(p: Poly, keyf) -> IntPoly:
         den = den * c.denominator // math.gcd(den, c.denominator)
     out = {e: int(c * den) for e, c in p.terms.items()}
     return _normalize(out, max(out, key=keyf))
+
+
+def _distinct(forms) -> tuple:
+    """The integer polynomials, each distinct one once, first seen first."""
+    kept = {}
+    for p in forms:
+        kept.setdefault(frozenset(p.items()), p)
+    return tuple(kept.values())
 
 
 def _poly_from_int(p: IntPoly, lead, nvars: int) -> Poly:
@@ -363,110 +373,69 @@ def _reduced_basis(gens, order: MonomialOrder) -> tuple:
 class Ideal:
     """An ideal given by generators, with a cached reduced Groebner basis.
 
-    Inside, generator i is _scales[i] (1 when _scales is None) times the
-    primitive integer polynomial _ints[i], whose leading coefficient under
-    the order is positive; an ideal made from its reduced basis has
-    _ints None and that basis as its generators.  The basis is kept as
-    (leading exponent, primitive polynomial) pairs.  The Poly generators
-    and the monic basis are built on first request and cached.
+    The generators are kept as distinct primitive integer polynomials
+    (content 1, positive leading coefficient under grevlex), and the reduced
+    grevlex basis as (leading exponent, primitive polynomial) pairs; an
+    ideal made from its reduced basis has that basis as its generators.  The
+    monic Fraction basis of groebner() is built on first request and cached.
 
-    The reduced basis is unique for (ideal, order), so two ideals under the
-    same order are equal iff their reduced bases coincide.
+    The reduced basis is unique, so two ideals are equal iff their reduced
+    bases coincide.
     """
 
-    __slots__ = ("order", "nvars", "_ints", "_scales", "_polys", "_basis", "_gb")
+    __slots__ = ("nvars", "_ints", "_basis", "_gb")
 
-    def __init__(self, generators, nvars=None, order: MonomialOrder = GREVLEX):
-        gens = {}  # of equal generators, the first is kept
+    def __init__(self, generators, nvars=None):
+        gens = []
         for g in generators:
             if not isinstance(g, Poly):
                 raise TypeError("generators must be Poly")
             if not g.is_zero():
-                gens.setdefault(g)
-        gens = tuple(gens)
+                gens.append(g)
         if nvars is None:
             if not gens:
                 raise ValueError("nvars required for the zero ideal")
             nvars = gens[0].nvars
         if any(g.nvars != nvars for g in gens):
             raise ValueError("generators live in different rings")
-        keyf = order.key
-        ints = tuple(_int_from_poly(g, keyf) for g in gens)
-        scales = []
-        for g, p in zip(gens, ints):
-            lead = max(p, key=keyf)
-            scales.append(g.terms[lead] / p[lead])
-        self._fill(order, nvars, ints, tuple(scales), gens)
+        self._fill(nvars, _distinct(_int_from_poly(g, GREVLEX.key) for g in gens))
 
-    def _fill(self, order, nvars, ints, scales=None, polys=None, basis=None):
-        values = (order, nvars, ints, scales, polys, basis, None)
-        for slot, value in zip(self.__slots__, values):
+    def _fill(self, nvars, ints, basis=None):
+        for slot, value in zip(self.__slots__, (nvars, ints, basis, None)):
             object.__setattr__(self, slot, value)
 
     def __setattr__(self, *a):
         raise AttributeError("Ideal is immutable")
 
     @classmethod
-    def _of(cls, forms, nvars, order=GREVLEX, scales=None):
-        """The ideal generated by the scales[i] * forms[i], each distinct
-        generator once, from nonzero primitive integer polynomials with
-        positive leading coefficients under order (all scales 1 when
-        scales is None)."""
-        kept = {}
-        for i, p in enumerate(forms):
-            key = frozenset(p.items())
-            kept.setdefault(key if scales is None else (key, scales[i]), i)
+    def _of(cls, forms, nvars):
+        """The ideal generated by nonzero primitive integer polynomials with
+        positive leading coefficients, each distinct one once."""
         ideal = object.__new__(cls)
-        ideal._fill(
-            order,
-            nvars,
-            tuple(forms[i] for i in kept.values()),
-            None if scales is None else tuple(scales[i] for i in kept.values()),
-        )
+        ideal._fill(nvars, _distinct(forms))
         return ideal
 
     @classmethod
-    def _from_basis(cls, basis, nvars, order=GREVLEX):
+    def _from_basis(cls, basis, nvars):
         """The ideal generated by its reduced basis, given as (leading
         exponent, primitive polynomial) pairs, leading exponents
         descending."""
+        basis = tuple(basis)
         ideal = object.__new__(cls)
-        ideal._fill(order, nvars, None, basis=tuple(basis))
+        ideal._fill(nvars, tuple(p for _, p in basis), basis)
         return ideal
 
     # -- generators -----------------------------------------------------------
 
     @property
     def generators(self):
-        """The generators as Polys: as given to the constructor, the monic
-        reduced basis of an ideal made from it, such as an intersection,
-        and integral with positive leading coefficients for a product."""
-        if self._polys is None:
-            if self._ints is None:
-                polys = self.groebner()
-            else:
-                polys = tuple(
-                    Poly({e: s * c for e, c in p.items()}, self.nvars)
-                    for p, s in zip(self._ints, self._form_scales())
-                )
-            object.__setattr__(self, "_polys", polys)
-        return self._polys
-
-    def _forms(self):
-        """The generators as primitive integer polynomials."""
-        if self._ints is None:
-            return tuple(p for _, p in self._basis)
-        return self._ints
-
-    def _form_scales(self):
-        """The rationals that take _forms() to the generators."""
-        if self._ints is None:
-            return tuple(Fraction(1, p[lead]) for lead, p in self._basis)
-        return self._scales or (1,) * len(self._ints)
+        """The generators as integral, primitive Polys with positive
+        leading coefficients."""
+        return tuple(Poly(p, self.nvars) for p in self._ints)
 
     def _key(self):
         """A hashable key, equal for equal generating sets."""
-        return tuple(frozenset(p.items()) for p in self._forms())
+        return tuple(frozenset(p.items()) for p in self._ints)
 
     # -- Groebner machinery --------------------------------------------------
 
@@ -474,7 +443,7 @@ class Ideal:
         """The reduced basis as (leading exponent, primitive polynomial)
         pairs, leading exponents descending (cached)."""
         if self._basis is None:
-            object.__setattr__(self, "_basis", _reduced_basis(self._ints, self.order))
+            object.__setattr__(self, "_basis", _reduced_basis(self._ints, GREVLEX))
         return self._basis
 
     def groebner(self):
@@ -487,7 +456,7 @@ class Ideal:
     # -- predicates -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._forms()
+        return not self._ints
 
     def is_unit(self) -> bool:
         basis = self._int_basis()
@@ -496,11 +465,11 @@ class Ideal:
     def contains(self, p: Poly) -> bool:
         if p.nvars != self.nvars:
             raise ValueError("polynomial lives in a different ring")
-        return self._holds(_int_from_poly(p, self.order.key))
+        return self._holds(_int_from_poly(p, GREVLEX.key))
 
     def _holds(self, p: IntPoly) -> bool:
         """Membership of an integer polynomial: its normal form is zero."""
-        return not p or self.is_unit() or not _nf(p, self._int_basis(), self.order)
+        return not p or self.is_unit() or not _nf(p, self._int_basis(), GREVLEX)
 
     def contains_ideal(self, other: "Ideal") -> bool:
         """Any generating set of other decides, so this starts no Groebner
@@ -508,7 +477,7 @@ class Ideal:
         generators."""
         if other.nvars != self.nvars:
             raise ValueError("ideals live in different rings")
-        forms = other._forms() if other._basis is None else (p for _, p in other._basis)
+        forms = other._ints if other._basis is None else (p for _, p in other._basis)
         return all(map(self._holds, forms))
 
     def leading_exponents(self):
@@ -541,21 +510,13 @@ def maximal_ideal() -> Ideal:
 # ideal calculus
 
 
-def _under(I: Ideal, order: MonomialOrder) -> Ideal:
-    """I, or an ideal with its generators under order."""
-    return I if I.order == order else Ideal(I.generators, nvars=I.nvars, order=order)
-
-
 def ideal_sum(*ideals: Ideal) -> Ideal:
     if not ideals:
         raise ValueError("empty sum")
-    nvars, order = ideals[0].nvars, ideals[0].order
+    nvars = ideals[0].nvars
     if any(I.nvars != nvars for I in ideals):
         raise ValueError("ideals live in different rings")
-    ideals = [_under(I, order) for I in ideals]
-    forms = [p for I in ideals for p in I._forms()]
-    scales = [s for I in ideals for s in I._form_scales()]
-    return Ideal._of(forms, nvars, order, scales)
+    return Ideal._of([p for I in ideals for p in I._ints], nvars)
 
 
 def _int_mul(f: IntPoly, g: IntPoly) -> IntPoly:
@@ -577,9 +538,7 @@ def ideal_product(I: Ideal, J: Ideal) -> Ideal:
     coefficient, so f*g and g*f give the same generator."""
     if I.nvars != J.nvars:
         raise ValueError("ideals live in different rings")
-    gs = _under(J, I.order)._forms()
-    gens = [_int_mul(f, g) for f in I._forms() for g in gs]
-    return Ideal._of(gens, I.nvars, I.order)
+    return Ideal._of([_int_mul(f, g) for f in I._ints for g in J._ints], I.nvars)
 
 
 def ideal_power(I: Ideal, k: int) -> Ideal:
@@ -632,12 +591,10 @@ def ideal_quotient(I: Ideal, J: Ideal) -> Ideal:
     n = I.nvars
     parts = []
     for lead, g in J._int_basis():
-        K = ideal_intersect(I, Ideal._of([g], n, J.order))
-        # K lies in (g), so g divides each element of its basis exactly; the
-        # generators are the monic quotients
-        quot = [_exact_quotient(h, g, lead, J.order) for _, h in K._int_basis()]
-        scales = [Fraction(g[lead], h[lt]) for lt, h in K._int_basis()]
-        parts.append(Ideal._of(quot, n, I.order, scales))
+        K = ideal_intersect(I, Ideal._of([g], n))
+        # K lies in (g), so g divides each element of its basis exactly
+        quot = [_exact_quotient(h, g, lead, GREVLEX) for _, h in K._int_basis()]
+        parts.append(Ideal._of(quot, n))
     return _fold(ideal_intersect, parts)
 
 
@@ -662,7 +619,7 @@ def saturate(I: Ideal, J: Ideal) -> Ideal:
         variables.append(lead.index(1))
     if not variables:
         raise ValueError("saturate needs an ideal generated by variables")
-    forms = I._forms()
+    forms = I._ints
     if not all(map(_is_homogeneous, forms)):
         raise ValueError("saturate needs a homogeneous ideal")
     keyf = GREVLEX.key
@@ -670,19 +627,19 @@ def saturate(I: Ideal, J: Ideal) -> Ideal:
     for v in variables:
         perm = tuple(i for i in range(n) if i != v) + (v,)
         inverse = tuple(perm.index(i) for i in range(n))
-        if v == n - 1 and I.order == GREVLEX:
+        if v == n - 1:
             basis = I._int_basis()  # its own grevlex basis, computed at most once
         else:
             basis = _reduced_basis([_permuted(g, perm) for g in forms], GREVLEX)
-        # the generators are the basis elements divided out, monic in the
-        # moved order, so their scales carry the sign that orients them
-        quotient, scales = [], []
-        for lead, g in basis:
+        # the generators are the basis elements divided out, oriented anew
+        # because the moved order may have led with another term
+        quotient = []
+        for _, g in basis:
             q = _permuted(_divide_out_last(g), inverse)
-            sign = 1 if q[max(q, key=keyf)] > 0 else -1
-            quotient.append({e: sign * c for e, c in q.items()})
-            scales.append(Fraction(sign, g[lead]))
-        parts.append(Ideal._of(quotient, n, GREVLEX, scales))
+            if q[max(q, key=keyf)] < 0:
+                q = {e: -c for e, c in q.items()}
+            quotient.append(q)
+        parts.append(Ideal._of(quotient, n))
     return _fold(ideal_intersect, parts)
 
 
@@ -701,7 +658,7 @@ def eliminate(I: Ideal, var: int) -> Ideal:
         return I
     perm = (var,) + tuple(i for i in range(n) if i != var)
     inverse = tuple(perm.index(i) for i in range(n))
-    basis = _reduced_basis([_permuted(g, perm) for g in I._forms()], elimination_order(1))
+    basis = _reduced_basis([_permuted(g, perm) for g in I._ints], elimination_order(1))
     kept = [
         (tuple(lead[i] for i in inverse), _permuted(p, inverse))
         for lead, p in basis
@@ -711,10 +668,8 @@ def eliminate(I: Ideal, var: int) -> Ideal:
 
 
 def ideal_equal(I: Ideal, J: Ideal) -> bool:
-    """Equality via identical reduced Groebner bases (same order required);
-    equal generators decide without a basis."""
-    if I.order != J.order:
-        raise ValueError("ideal equality requires a common monomial order")
+    """Equality via identical reduced Groebner bases; equal generators
+    decide without a basis."""
     if I.nvars != J.nvars:
         return False
-    return I._forms() == J._forms() or I._int_basis() == J._int_basis()
+    return I._ints == J._ints or I._int_basis() == J._int_basis()

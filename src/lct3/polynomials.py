@@ -137,9 +137,6 @@ class Poly:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
-
     def leading_monomial(self, order: MonomialOrder = GREVLEX) -> Exponent:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
@@ -320,7 +317,6 @@ class Poly:
 X = Poly.variable(0, 3)
 Y = Poly.variable(1, 3)
 Z = Poly.variable(2, 3)
-ONE = Poly.constant(1, 3)
 
 
 def variables(nvars: int) -> tuple:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .ideals import Ideal, ideal_sum, _divides
 from .linalg import RatMatrix, echelon
-from .polynomials import Poly, monomials_of_degree
+from .polynomials import GREVLEX, Poly, monomials_of_degree
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,7 @@ def radical_zero_dim(I: Ideal) -> Ideal:
     nilpotents = [
         Poly(dict(zip(basis, vec)), I.nvars) for vec in form.kernel_basis()
     ]
-    return ideal_sum(I, Ideal(nilpotents, nvars=I.nvars, order=I.order))
+    return ideal_sum(I, Ideal(nilpotents, nvars=I.nvars))
 
 
 def _trace_matrix(I: Ideal, basis, prime: int = None) -> list:
@@ -131,10 +131,10 @@ def _trace_matrix(I: Ideal, basis, prime: int = None) -> list:
         norm = lambda v: v % prime
     index = {b: i for i, b in enumerate(basis)}
     reducers = [
-        (g.leading_monomial(I.order), {e: lift(c) for e, c in g.terms.items()})
+        (g.leading_monomial(), {e: lift(c) for e, c in g.terms.items()})
         for g in I.groebner()
     ]
-    keyf = I.order.key
+    keyf = GREVLEX.key
     forms = {}  # monomial -> its normal form, as {basis index: coefficient}
 
     def coords(i, j):
@@ -159,7 +159,7 @@ def _trace_matrix(I: Ideal, basis, prime: int = None) -> list:
 
 
 def _standard_monomials(I: Ideal) -> list:
-    """Monomials outside the leading-term ideal, ascending in I's order.
+    """Monomials outside the leading-term ideal, ascending in grevlex.
     They are finitely many exactly when I is zero-dimensional."""
     if I.is_unit():
         return []
@@ -178,7 +178,7 @@ def _standard_monomials(I: Ideal) -> list:
             if f not in found and not any(_divides(l, f) for l in lts):
                 found.add(f)
                 frontier.append(f)
-    return sorted(found, key=I.order.key)
+    return sorted(found, key=GREVLEX.key)
 
 
 def _normal_form(m, reducers, index, keyf, norm) -> dict:

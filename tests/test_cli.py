@@ -1,4 +1,7 @@
 import json
+import re
+import sys
+from contextlib import contextmanager
 
 from lct3.cli import input_digest, main
 
@@ -302,3 +305,78 @@ def test_unsampleable_generator_exits_2(tmp_path, capsys, monkeypatch):
         "lct3: generator: could not sample a general 5-point set (seed 3); "
         "try another seed\n"
     )
+
+
+# eight points with 6-digit coordinates: a Case C set whose printed bases
+# hold integers of more than 700 digits
+SIX_DIGITS = {
+    "points": [
+        ["240891", "696853", "988598"],
+        ["941235", "900875", "166172"],
+        ["367459", "223646", "619501"],
+        ["897926", "571325", "595185"],
+        ["783244", "498055", "927036"],
+        ["320153", "198418", "611554"],
+        ["129724", "976363", "508744"],
+        ["553789", "736944", "899308"],
+    ]
+}
+
+
+@contextmanager
+def digit_limit(limit):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_output_integers_of_any_length(tmp_path, capsys):
+    # the interpreter's digit limit guards input only: under a limit of
+    # 640 digits the document is printed whole, and the limit is kept
+    path = write(tmp_path, SIX_DIGITS)
+    with digit_limit(0):
+        assert main(["classify", path]) == 0
+        unlimited = capsys.readouterr().out
+    assert max(map(len, re.findall(r"\d+", unlimited))) > 640
+    with digit_limit(640):
+        code = main(["classify", path])
+        assert sys.get_int_max_str_digits() == 640
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == unlimited
+    assert captured.err == ""
+
+
+def test_oversized_input_numbers_exit_2(tmp_path, capsys):
+    huge = "1" * 5000
+    with digit_limit(4300):
+        for argv in (
+            ["mi", write(tmp_path, COORD), "--lambda", huge],
+            ["jumps", write(tmp_path, COORD), "--lambda-max", huge],
+            ["verify", write(tmp_path, COORD), "--grid", f"1,{huge}"],
+            ["classify", write(tmp_path, {"points": [[huge, "1", "0"]]})],
+        ):
+            code, doc, err = run(capsys, argv)
+            assert code == 2 and doc is None
+            assert err.startswith("lct3: ")
+        # a bare JSON integer is refused while the file is parsed
+        bare = tmp_path / "bare.json"
+        bare.write_text('{"points": [[' + huge + ", 1, 0]]}")
+        code, doc, err = run(capsys, ["classify", str(bare)])
+        assert (code, doc) == (2, None)
+        assert err.startswith("lct3: invalid JSON: ")
+        assert sys.get_int_max_str_digits() == 4300
+
+
+def test_normalized_points_are_echoed_whole(tmp_path, capsys):
+    # dividing by the first coordinate makes the echoed coordinate longer
+    # than any input number
+    a, b = "1" + "3" * 3000, "1/" + "7" * 3000
+    path = write(tmp_path, {"points": [[a, b, "1"], ["0", "1", "0"], ["0", "0", "1"]]})
+    with digit_limit(4300):
+        code, doc, _ = run(capsys, ["classify", path])
+    assert code == 0
+    assert len(doc["input"]["points"][0][1]) > 4300

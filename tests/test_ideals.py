@@ -440,14 +440,18 @@ def homogeneous_forms(draw, max_forms=4):
 def assert_engines_agree(forms, order=GREVLEX):
     from lct3 import ideals
 
-    I = Ideal(forms, nvars=3, order=order)
-    ints = [ideals._int_from_poly(g, order.key) for g in I.generators]
+    ints = ideals._distinct(
+        ideals._int_from_poly(g, order.key) for g in forms if not g.is_zero()
+    )
     graded = ideals._graded(ints, order)
     assert graded == reference_buchberger(ints, order)
-    # Ideal.groebner takes the graded engine for these generators
-    assert I.groebner() == tuple(
-        ideals._poly_from_int(p, lead, 3) for lead, p in graded
-    )
+    # _reduced_basis takes the graded engine for these generators (or, for
+    # monomials, gives the same basis without it)
+    assert ideals._reduced_basis(ints, order) == tuple(graded)
+    if order == GREVLEX:
+        assert Ideal(forms, nvars=3).groebner() == tuple(
+            ideals._poly_from_int(p, lead, 3) for lead, p in graded
+        )
 
 
 # Drawn at random, one in several hundred sets does this: a Gebauer-Moller
@@ -567,8 +571,14 @@ def sympy_reference(polys, nvars, order):
 
 
 def assert_matches_reference(polys, nvars, order):
-    I = Ideal(polys, nvars=nvars, order=order)
-    assert I.groebner() == sympy_reference(polys, nvars, order)
+    from lct3 import ideals
+
+    expected = sympy_reference(polys, nvars, order)
+    ints = [ideals._int_from_poly(p, order.key) for p in polys if not p.is_zero()]
+    basis = ideals._reduced_basis(ints, order)
+    assert tuple(ideals._poly_from_int(p, lead, nvars) for lead, p in basis) == expected
+    if order == GREVLEX:
+        assert Ideal(polys, nvars=nvars).groebner() == expected
 
 
 # Two draws on which reference_buchberger ran past 120 s.
@@ -614,13 +624,13 @@ def test_inhomogeneous_bases_of_the_package_match_buchberger():
 # generators; membership by division in Fraction arithmetic.
 
 
-def primitive(p, order=GREVLEX):
-    """The integral Poly with content 1 and a positive leading coefficient
-    under order that is a rational multiple of p."""
+def primitive(p):
+    """The integral Poly with content 1 and a positive grevlex leading
+    coefficient that is a rational multiple of p."""
     den = math.lcm(*(c.denominator for c in p.terms.values()))
     q = p * den
     q = q * Fraction(1, math.gcd(*(c.numerator for c in q.terms.values())))
-    return q if q.leading_coefficient(order) > 0 else -q
+    return q if q.leading_coefficient() > 0 else -q
 
 
 @settings(max_examples=60, deadline=None)
@@ -704,7 +714,7 @@ def reference_saturation_generators(I, v):
     for g in Ideal([g.permute(perm) for g in I.generators]).groebner():
         k = min(e[-1] for e in g.terms)
         out.append(Poly({e[:-1] + (e[-1] - k,): c for e, c in g.terms.items()}, 3))
-    return tuple(dict.fromkeys(g.permute(inverse) for g in out))
+    return tuple(dict.fromkeys(primitive(g.permute(inverse)) for g in out))
 
 
 @settings(max_examples=20, deadline=None)
@@ -721,17 +731,14 @@ def test_integer_calculus_matches_the_fraction_side(I, J, forms, v):
     assert all(c.denominator == 1 for g in P.generators for c in g.terms.values())
     assert P.groebner() == reference_basis(products)
     assert ideal_equal(P, Ideal(products))
-    # under another order, the product orients its forms by the first factor's
-    L = Ideal(I.generators, nvars=3, order=LEX)
-    assert ideal_product(L, J).generators == tuple(
-        dict.fromkeys(primitive(h, LEX) for h in products)
-    )
+    # the scales of the factors' generators do not reach the product
+    scaled = Ideal([g * Fraction(-3, 2) for g in I.generators], nvars=3)
+    assert ideal_product(scaled, J).generators == P.generators
 
     K = ideal_intersect(I, J)
     assert K.groebner() == reference_intersection(I, J)
     if K is not I and K is not J:  # else one of them, as it was given
-        assert K.generators == K.groebner()
-        assert all(g.leading_coefficient() == 1 for g in K.generators)
+        assert K.generators == tuple(primitive(g) for g in K.groebner())
     basis_I = reference_basis(I.generators)
     assert ideal_equal(K, I) == (K.groebner() == basis_I)
     S = ideal_sum(I, K)
@@ -747,15 +754,58 @@ def test_integer_calculus_matches_the_fraction_side(I, J, forms, v):
     assert all(K.contains(p) for p in members)
 
     # the quotient by a principal ideal and the saturation by one variable
-    # keep the generators the Fraction side gives them
+    # have the generators the Fraction side gives them, made primitive
     for f in forms:
         if f.total_degree() > 0:  # by a unit, the quotient is I as given
             (g,) = Ideal([f]).groebner()
             quotient = (h.exact_div(g) for h in ideal_intersect(I, Ideal([f])).groebner())
-            assert ideal_quotient(I, Ideal([f])).generators == tuple(dict.fromkeys(quotient))
+            assert ideal_quotient(I, Ideal([f])).generators == tuple(
+                dict.fromkeys(map(primitive, quotient))
+            )
     variable = Ideal([Poly.variable(v, 3)])
     S = saturate(I, variable)
     assert S.generators == reference_saturation_generators(I, v)
     assert ideal_product(S, J).generators == tuple(
         dict.fromkeys(primitive(f * g) for f in S.generators for g in J.generators)
     )
+
+
+# One rule for the generators of every ideal, however it was built: integral
+# primitive Polys with positive grevlex leading coefficients, each once.
+
+
+def assert_generators_are_primitive(I):
+    for g in I.generators:
+        coefficients = g.terms.values()
+        assert all(c.denominator == 1 for c in coefficients)
+        assert math.gcd(*(c.numerator for c in coefficients)) == 1
+        assert g.leading_coefficient() > 0
+    assert len(set(I.generators)) == len(I.generators)
+    assert ideal_equal(Ideal(I.generators, nvars=I.nvars), I)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    I=homogeneous_ideals(),
+    J=homogeneous_ideals(),
+    forms=st.lists(rational_forms, min_size=1, max_size=2),
+    v=st.integers(0, 2),
+)
+def test_every_construction_keeps_primitive_generators(I, J, forms, v):
+    F = Ideal(forms, nvars=3)
+    for K in (
+        F,
+        ideal_sum(I, F),
+        ideal_product(I, J),
+        ideal_intersect(I, J),
+        ideal_quotient(I, F),
+        saturate(I, Ideal([Poly.variable(v, 3)])),
+        saturate(I, maximal_ideal()),
+    ):
+        assert_generators_are_primitive(K)
+
+
+def test_generators_equal_up_to_scale_are_kept_once():
+    assert Ideal([X, 2 * X]).generators == (X,)
+    assert Ideal([-X * Fraction(1, 3), X * Y, X]).generators == (X, X * Y)
+    assert ideal_sum(Ideal([2 * Y]), Ideal([-Y, X])).generators == (Y, X)

@@ -163,8 +163,9 @@ def special_point_sets(draw):
 def test_ideal_of_points_is_the_intersection_of_point_primes(Z_):
     I = ideal_of_points(Z_)
     assert I.groebner() == reference_ideal_of_points(Z_).groebner()
-    # ideal_product multiplies generators, so they are the reduced basis
-    assert I.generators == I.groebner()
+    # the ideal is kept as its reduced basis, so its generators are that
+    # basis made integral and primitive
+    assert tuple(g.monic() for g in I.generators) == I.groebner()
 
 
 def rank_general_in_every_degree(Z_):
