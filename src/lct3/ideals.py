@@ -315,13 +315,13 @@ def _autoreduce(G, order: MonomialOrder):
     return sorted(zip(kept_lts, kept), key=lambda t: keyf(t[0]), reverse=True)
 
 
-def _exact_quotient(h: IntPoly, g: IntPoly, lead, order: MonomialOrder):
+def _exact_quotient(h: IntPoly, g: IntPoly, lead):
     """h / g when the primitive polynomial g, with leading exponent lead
-    under order, divides the integer polynomial h; else None.  By Gauss's
+    under grevlex, divides the integer polynomial h; else None.  By Gauss's
     lemma such a quotient has integer coefficients, so long division stops
     at the first leading term whose exponent or coefficient that of g does
     not divide.  Terms get heap entries as in _nf."""
-    heap_key = order.heap_key
+    heap_key = GREVLEX.heap_key
     work = dict(h)
     heap = [(heap_key(e), e) for e in work]
     heapq.heapify(heap)
@@ -593,7 +593,7 @@ def ideal_quotient(I: Ideal, J: Ideal) -> Ideal:
     for lead, g in J._int_basis():
         K = ideal_intersect(I, Ideal._of([g], n))
         # K lies in (g), so g divides each element of its basis exactly
-        quot = [_exact_quotient(h, g, lead, GREVLEX) for _, h in K._int_basis()]
+        quot = [_exact_quotient(h, g, lead) for _, h in K._int_basis()]
         parts.append(Ideal._of(quot, n))
     return _fold(ideal_intersect, parts)
 

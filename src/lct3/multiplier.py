@@ -257,7 +257,7 @@ def _valuation_memberships(c: Classification, Z: PointSet, forms, lams) -> list:
     for G in forms:
         H, a = G, 0
         while c.kind == "B":
-            q = _exact_quotient(H, F, lead, GREVLEX)
+            q = _exact_quotient(H, F, lead)
             if q is None:
                 break
             H, a = q, a + 1
