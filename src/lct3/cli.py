@@ -147,7 +147,8 @@ def load_arrangement(path: str, seed_override=None):
                     raise InputError(f"points[{i}][{j}]: {exc}")
             triples.append(triple)
         try:
-            Z = PointSet.of(triples)
+            with any_length():  # a repeated point is named whole
+                Z = PointSet.of(triples)
         except ValueError as exc:
             raise InputError(str(exc))
     elif "generator" in doc:

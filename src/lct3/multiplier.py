@@ -21,7 +21,7 @@ from .ideals import (
     ideal_sum,
     unit_ideal,
 )
-from .points import PointSet, ideal_of_points, symbolic_power
+from .points import PointSet, ideal_of_points, integral_coords, truncation
 from .polynomials import GREVLEX, Poly, monomials_of_degree
 
 LAMBDA_CAP = Fraction(10)
@@ -101,8 +101,8 @@ def _lookup(c: Classification, Z: PointSet, lam: Fraction, memo: dict):
     """J(lam) from memo, assembled on a miss.  The memo belongs to a single
     multiplier_ideal, jumping_numbers or cross_check call; besides the
     exponents, it maps each ideal a Skoda step started from to the product,
-    so that one ideal object is multiplied once, and each pair of generating
-    sets of the closed forms to their intersection."""
+    so that one ideal object is multiplied once, and the floor terms of each
+    [2,3) clause (each pair of generating sets in case C) to its ideal."""
     result = memo.get(lam)
     if result is None:
         result = memo[lam] = _assemble(c, Z, lam, memo)
@@ -110,19 +110,21 @@ def _lookup(c: Classification, Z: PointSet, lam: Fraction, memo: dict):
 
 
 def _assemble(c: Classification, Z: PointSet, lam: Fraction, memo: dict):
-    """J(lam) by one Skoda step from memo at lam >= 3, else in closed form."""
+    """J(lam) by one Skoda step from memo at lam >= 3, else in closed form.
+    The [2,3) clauses of cases A and B meet I_Z without an intersection:
+    m^a ∩ I_Z is the truncation (I_Z)_{>=a}, and in case B the curve form F
+    lies in I_Z, so by the modular law the curve terms pass through the
+    meet."""
     if lam >= 3:
         inner = _lookup(c, Z, lam - 1, memo).ideal
-        ideal = memo.get(inner)
-        if ideal is None:
-            ideal = memo[inner] = ideal_product(ideal_of_points(Z), inner)
+        ideal = _shared(memo, inner, lambda: ideal_product(ideal_of_points(Z), inner))
         return MultiplierIdealResult(lam, ideal, "skoda-recursion")
     d = c.d
     if c.kind == "A":
-        md = power_of_m(math.floor(lam * d) - 2)
+        a = math.floor(lam * d) - 2
         if lam < 2:
-            return MultiplierIdealResult(lam, md, "A[0,2)")
-        ideal = _meet(md, ideal_of_points(Z), memo)
+            return MultiplierIdealResult(lam, power_of_m(a), "A[0,2)")
+        ideal = _shared(memo, ("A[2,3)", a), lambda: truncation(Z, a))
         return MultiplierIdealResult(lam, ideal, "A[2,3)")
     if c.kind == "B":
         e, F = c.e, c.curve_form
@@ -137,13 +139,26 @@ def _assemble(c: Classification, Z: PointSet, lam: Fraction, memo: dict):
                 ideal_product(power_of_m(math.floor(lam * d) - (2 + d)), curve),
             )
             return MultiplierIdealResult(lam, ideal, "B[1,2)")
-        curve2 = Ideal([F * F], nvars=3)
-        inner = ideal_sum(
-            power_of_m(math.floor(lam * e) - (2 + e - d)),
-            ideal_product(power_of_m(math.floor(lam * e) - (2 + 2 * e - d)), curve),
-            ideal_product(power_of_m(math.floor(lam * d) - (2 + 2 * d)), curve2),
+        # the exponents of m, where every one <= 0 gives the unit ideal
+        a, b, k = (
+            max(0, x)
+            for x in (
+                math.floor(lam * e) - (2 + e - d),
+                math.floor(lam * e) - (2 + 2 * e - d),
+                math.floor(lam * d) - (2 + 2 * d),
+            )
         )
-        ideal = _meet(inner, ideal_of_points(Z), memo)
+
+        def reduced_sum():
+            # (m^a + m^b*F + m^k*F^2) ∩ I_Z, generated by its reduced basis
+            ideal = ideal_sum(
+                truncation(Z, a),
+                ideal_product(power_of_m(b), curve),
+                ideal_product(power_of_m(k), Ideal([F * F], nvars=3)),
+            )
+            return Ideal._from_basis(ideal._int_basis(), 3)
+
+        ideal = _shared(memo, ("B[2,3)", a, b, k), reduced_sum)
         return MultiplierIdealResult(lam, ideal, "B[2,3)")
     # case C
     e = c.e
@@ -159,15 +174,18 @@ def _assemble(c: Classification, Z: PointSet, lam: Fraction, memo: dict):
     return MultiplierIdealResult(lam, ideal, "C[2,3)")
 
 
-def _meet(I: Ideal, J: Ideal, memo: dict) -> Ideal:
-    """I ∩ J, keyed in the memo by both generating sets, so exponents whose
-    floor terms give the same generators share one ideal object and one
-    basis."""
-    key = (I._key(), J._key())
+def _shared(memo: dict, key, build) -> Ideal:
+    """memo[key], built on a miss: exponents whose floor terms agree share
+    one ideal object and one basis, and each object is multiplied once."""
     ideal = memo.get(key)
     if ideal is None:
-        ideal = memo[key] = ideal_intersect(I, J)
+        ideal = memo[key] = build()
     return ideal
+
+
+def _meet(I: Ideal, J: Ideal, memo: dict) -> Ideal:
+    """I ∩ J, shared in the memo under both generating sets."""
+    return _shared(memo, (I._key(), J._key()), lambda: ideal_intersect(I, J))
 
 
 def jump_candidates(c: Classification, lam_max) -> list:
@@ -226,8 +244,8 @@ def membership_by_valuation(
     Case A: deg G must reach floor(lam*d) - 2.  Case B: write G = H * F^a
     with the curve form F dividing G exactly a times; then
     deg H + (d+j)*a must reach floor(lam*(d+j)) - (2+j) for 0 <= j <= e-d.
-    Both cases additionally require membership in the (floor(lam)-1)-th
-    symbolic power.
+    Both cases additionally require order floor(lam) - 1 along each line,
+    which below 3 means, from lam = 2 on, that G vanishes on Z.
     """
     return _valuation_memberships(c, Z, [_int_from_poly(G, GREVLEX.key)], [lam])[0][0]
 
@@ -235,10 +253,11 @@ def membership_by_valuation(
 def _valuation_memberships(c: Classification, Z: PointSet, forms, lams) -> list:
     """membership_by_valuation at each exponent of lams, for each form of
     forms given as a primitive integer polynomial (ideals._int_from_poly).
-    What does not depend on lam is computed once per form: the F-adic
-    factorization (Case B), by exact integer division, and its membership
-    in each symbolic power that some exponent needs once its degree test
-    passes."""
+    The floor bounds of each exponent are computed once per call, and what
+    does not depend on lam once per form: the F-adic factorization (Case
+    B), by exact integer division, and, once some exponent from 2 on passes
+    its degree test, whether the form vanishes at the points, scaled to
+    integers as in points.evaluation_matrix.  No Groebner basis is used."""
     lams = [as_lambda(lam) for lam in lams]
     if any(lam >= 3 for lam in lams):
         raise ValueError("valuation test only covers exponents below 3")
@@ -253,6 +272,16 @@ def _valuation_memberships(c: Classification, Z: PointSet, forms, lams) -> list:
     if c.kind == "B":
         F = _int_from_poly(c.curve_form, GREVLEX.key)
         lead = max(F, key=GREVLEX.key)
+    # per exponent: whether it needs G on Z (order floor(lam) - 1 = 1, the
+    # only positive one below 3), and the (d + j, bound) of each floor term
+    tests = [
+        (
+            lam >= 2,
+            [(d + j, math.floor(lam * (d + j)) - (2 + j)) for j in range(e - d + 1)],
+        )
+        for lam in lams
+    ]
+    points = [integral_coords(p) for p in Z]
     out = []
     for G in forms:
         H, a = G, 0
@@ -262,18 +291,22 @@ def _valuation_memberships(c: Classification, Z: PointSet, forms, lams) -> list:
                 break
             H, a = q, a + 1
         degH = sum(next(iter(H)))
-        in_power: dict = {}
+        on_Z = None
         answers = []
-        for lam in lams:
-            ok = all(
-                degH + (d + j) * a >= math.floor(lam * (d + j)) - (2 + j)
-                for j in range(e - d + 1)
-            )
-            k = math.floor(lam) - 1
-            if ok and k > 0:
-                if k not in in_power:
-                    in_power[k] = symbolic_power(Z, k)._holds(G)
-                ok = in_power[k]
+        for needs_Z, floors in tests:
+            ok = all(degH + step * a >= bound for step, bound in floors)
+            if ok and needs_Z:
+                if on_Z is None:
+                    on_Z = _vanishes_at(G, points)
+                ok = on_Z
             answers.append(ok)
         out.append(answers)
     return out
+
+
+def _vanishes_at(G, points) -> bool:
+    """Does the integer form G vanish at each of the integer points?"""
+    return not any(
+        sum(v * x ** i * y ** j * z ** k for (i, j, k), v in G.items())
+        for x, y, z in points
+    )

@@ -1,6 +1,6 @@
 """Arrangements of lines through the origin, encoded by their direction
 points in the projective plane: graded pieces of the interpolation problem,
-the saturated ideal they generate, and symbolic powers.
+the saturated ideal they generate, its truncations, and symbolic powers.
 
 The pieces (I_Z)_d are computed once per arrangement, for d = 0, ..., t + 1
 with t the first degree in which Z imposes n = |Z| conditions.  I_Z is
@@ -15,9 +15,9 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import lcm
 
-from .ideals import Ideal, ideal_intersect, ideal_power, unit_ideal
+from .ideals import Ideal, _int_from_poly, ideal_intersect, ideal_power, unit_ideal
 from .linalg import RatMatrix
-from .polynomials import Poly, monomials_of_degree
+from .polynomials import GREVLEX, Poly, monomials_of_degree
 
 
 def _to_fraction(v) -> Fraction:
@@ -91,6 +91,14 @@ def point_prime(p: PointP2) -> Ideal:
     return Ideal(graded_piece(PointSet((p,)), 1).basis, nvars=3)
 
 
+def integral_coords(p: PointP2) -> tuple:
+    """p's coordinates times the lcm of their denominators: integers, which
+    scale the value of a form of degree t by that lcm to the t-th power, so
+    that the form vanishes there iff it vanishes at p."""
+    scale = lcm(*(v.denominator for v in p.coords))
+    return tuple(v.numerator * (scale // v.denominator) for v in p.coords)
+
+
 def evaluation_matrix(Z: PointSet, d: int) -> RatMatrix:
     """Rows: points of Z, each scaled to integer coordinates (which scales
     its row and keeps the kernel); columns: degree-d monomials in grevlex
@@ -98,8 +106,7 @@ def evaluation_matrix(Z: PointSet, d: int) -> RatMatrix:
     monos = monomials_of_degree(d)
     rows = []
     for p in Z:
-        scale = lcm(*(v.denominator for v in p.coords))
-        a, b, c = (v.numerator * (scale // v.denominator) for v in p.coords)
+        a, b, c = integral_coords(p)
         rows.append([a**e[0] * b**e[1] * c**e[2] for e in monos])
     return RatMatrix(rows)
 
@@ -139,6 +146,25 @@ def ideal_of_points(Z: PointSet) -> Ideal:
     kept as its reduced grevlex basis."""
     forms = [f for piece in hilbert_pieces(Z) for f in piece.basis]
     return Ideal._from_basis(Ideal(forms, nvars=3)._int_basis(), 3)
+
+
+def truncation(Z: PointSet, k: int) -> Ideal:
+    """(I_Z)_{>=k}, the forms of I_Z of degree >= k: m^k ∩ I_Z, since I_Z is
+    homogeneous.  Its reduced basis is the reduced echelon basis of the piece
+    (I_Z)_k, which graded_piece gives (hilbert_pieces holds the lower ones),
+    followed by the elements of I_Z's reduced basis of degree > k: a
+    degree-k monomial of the initial ideal lies under no minimal generator
+    of higher degree, and a minimal generator of higher degree lies over no
+    degree-k monomial of it."""
+    IZ = ideal_of_points(Z)
+    if k <= 0:
+        return IZ
+    basis = [(lead, p) for lead, p in IZ._int_basis() if sum(lead) > k]
+    pieces = hilbert_pieces(Z)
+    for f in (pieces[k] if k < len(pieces) else graded_piece(Z, k)).basis:
+        p = _int_from_poly(f, GREVLEX.key)
+        basis.append((max(p, key=GREVLEX.key), p))
+    return Ideal._from_basis(basis, 3)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

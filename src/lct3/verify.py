@@ -7,14 +7,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from operator import add
 
 from .envelopes import classify
 from .ideals import (
     Ideal,
     _int_from_poly,
+    _int_mul,
+    _poly_from_int,
     ideal_equal,
     ideal_intersect,
-    ideal_power,
     ideal_product,
     ideal_sum,
 )
@@ -87,23 +89,20 @@ def _is_monomial_ideal(I: Ideal) -> bool:
 
 
 def _oracle_inputs(c, bound=ORACLE_DEGREE_BOUND, max_power=ORACLE_POWER_BOUND):
-    """Homogeneous test forms: all monomials up to the degree bound, times
-    powers of the curve form in case B."""
-    monos = [
-        Poly.monomial(e, 1)
-        for t in range(bound + 1)
-        for e in monomials_of_degree(t)
+    """Homogeneous test forms as primitive integer polynomials: all monomials
+    up to the degree bound, times powers F^a of the curve form in case B,
+    each product a monomial shift of the integer F^a."""
+    powers = [{(0, 0, 0): 1}]
+    if c.kind == "B":
+        F = _int_from_poly(c.curve_form, GREVLEX.key)
+        while len(powers) <= max_power and len(powers) * c.d <= bound:
+            powers.append(_int_mul(powers[-1], F))
+    return [
+        {tuple(map(add, e, m)): v for e, v in Fa.items()}
+        for a, Fa in enumerate(powers)
+        for t in range(bound - a * c.d + 1)
+        for m in monomials_of_degree(t)
     ]
-    if c.kind != "B":
-        return monos
-    out = []
-    for a in range(max_power + 1):
-        Fa = c.curve_form**a
-        fdeg = a * c.d
-        if fdeg > bound:
-            break
-        out.extend(m * Fa for m in monos if m.total_degree() + fdeg <= bound)
-    return out
 
 
 def cross_check(Z: PointSet, lam_grid) -> CrossCheckReport:
@@ -138,16 +137,16 @@ def cross_check(Z: PointSet, lam_grid) -> CrossCheckReport:
     if c.kind in ("A", "B"):
         forms = _oracle_inputs(c)
         lams = [lam for lam in grid if lam < 3]
-        # each form converted and factored once, each symbolic power tested
-        # once per form
-        ints = [_int_from_poly(G, GREVLEX.key) for G in forms]
-        oracle = _valuation_memberships(c, Z, ints, lams) if lams else []
+        # each form factored once, and evaluated at the points at most once
+        oracle = _valuation_memberships(c, Z, forms, lams) if lams else []
         witness = None
         for i, lam in enumerate(lams):
             J = assembled[lam]
-            for G, p, answers in zip(forms, ints, oracle):
-                if answers[i] != J._holds(p):
-                    witness = f"lambda={lam}, form={G}"
+            for G, answers in zip(forms, oracle):
+                if answers[i] != J._holds(G):
+                    # the monic form, m * F^a with the monic curve form
+                    named = _poly_from_int(G, max(G, key=GREVLEX.key), 3)
+                    witness = f"lambda={lam}, form={named}"
                     break
             if witness:
                 break
@@ -172,10 +171,13 @@ def cross_check(Z: PointSet, lam_grid) -> CrossCheckReport:
     )
 
     bad = []
+    power, k = IZ, 1  # I_Z^k, each power built once along the ascending grid
     for lam in grid:
         if lam == 0:
             continue
-        if not assembled[lam].contains_ideal(ideal_power(IZ, math.ceil(lam))):
+        while k < math.ceil(lam):
+            power, k = ideal_product(power, IZ), k + 1
+        if not assembled[lam].contains_ideal(power):
             bad.append(str(lam))
     entries.append(
         CheckResult(

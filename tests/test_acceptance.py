@@ -9,9 +9,11 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lct3 import (
     Ideal,
+    PointSet,
     Poly,
     classify,
     envelope,
@@ -36,6 +38,7 @@ from lct3 import (
 )
 from lct3.points import expected_interpolation_data
 from lct3.verify import _oracle_inputs
+from test_points import general_point_sets, special_point_sets
 
 F = Fraction
 
@@ -113,7 +116,7 @@ def test_criterion_5_valuation_oracle(three_collinear, six_on_conic):
     with criterion(5, "valuation oracle equivalence"):
         for Z in (three_collinear, six_on_conic):
             c = classify(Z)
-            forms = _oracle_inputs(c, bound=8, max_power=3)
+            forms = [Poly(G, 3) for G in _oracle_inputs(c, bound=8, max_power=3)]
             for lam in jump_candidates(c, 3):
                 if lam >= 3:
                     continue
@@ -226,3 +229,19 @@ def test_criterion_7_skoda_consistency(supported_arrangements):
                 recursive = multiplier_ideal(c, Z, lam).ideal
                 direct = ideal_product(I, _closed_form_two_to_three(c, Z, lam - 1))
                 assert ideal_equal(recursive, direct), (name, lam)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    Z=st.one_of(general_point_sets, special_point_sets()),
+    lam=st.sampled_from([F(2), F(9, 4), F(7, 3), F(5, 2), F(8, 3), F(11, 4)]),
+)
+@example(Z=general_points(5, 5), lam=F(8, 3))  # Case B, (d, e) = (2, 3)
+@example(Z=PointSet.of([(1, 0, 0), (0, 1, 0), (1, 1, 0)]), lam=F(5, 2))
+def test_two_to_three_matches_the_intersection(Z, lam):
+    # cases A and B meet I_Z by truncation and the modular law; the reference
+    # takes the intersection, and both keep the reduced basis as generators
+    c = classify(Z)
+    assume(c.kind in ("A", "B"))
+    expected = _closed_form_two_to_three(c, Z, lam)
+    assert multiplier_ideal(c, Z, lam).ideal._ints == expected._ints

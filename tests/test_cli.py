@@ -1,7 +1,10 @@
 import json
+import os
 import re
+import subprocess
 import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 from lct3.cli import input_digest, main
 
@@ -380,3 +383,31 @@ def test_normalized_points_are_echoed_whole(tmp_path, capsys):
         code, doc, _ = run(capsys, ["classify", path])
     assert code == 0
     assert len(doc["input"]["points"][0][1]) > 4300
+
+
+def test_repeated_point_is_named_whole(tmp_path, capsys):
+    # the normalized coordinate has more digits than the limit allows to print
+    a, b = "1" + "3" * 3000, "1/" + "7" * 3000
+    path = write(tmp_path, {"points": [[a, b, "1"], [a, b, "1"]]})
+    with digit_limit(4300):
+        code, doc, err = run(capsys, ["classify", path])
+        assert sys.get_int_max_str_digits() == 4300
+    assert (code, doc) == (2, None)
+    assert err.startswith("lct3: repeated point [1:")
+    assert len(err) > 4300 and "Exceeds the limit" not in err
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "lct3", "classify", "-"],
+        input=json.dumps(COORD),
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["classification"]["variant"] == "CaseA"

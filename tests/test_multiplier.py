@@ -249,7 +249,7 @@ lambdas_below_3 = st.lists(
 def assert_oracle_matches_reference(c, Z_, data, lams):
     """_valuation_memberships against the reference on a sample of the
     verify test forms plus random monomial * F^a forms."""
-    forms = _oracle_inputs(c)
+    forms = [Poly(G, 3) for G in _oracle_inputs(c)]
     sample = data.draw(st.lists(st.sampled_from(forms), max_size=12))
     for _ in range(data.draw(st.integers(0, 6))):
         t = data.draw(st.integers(0, 5))
@@ -292,6 +292,37 @@ def test_valuation_memberships_match_reference_on_general_sets(n, seed, data, la
     Z_ = general_points(n, seed)
     c = classify(Z_)
     assume(c.kind in ("A", "B"))  # a rare draw has three points on a line
+    assert_oracle_matches_reference(c, Z_, data, lams)
+
+
+def moved(Z_, g):
+    """The image of the point set under the 3x3 matrix g (rows of ints)."""
+    return PointSet.of(
+        [tuple(sum(a * v for a, v in zip(row, p.coords)) for row in g) for p in Z_]
+    )
+
+
+def determinant(g):
+    (a, b, c), (d, e, f), (h, i, j) = g
+    return a * (e * j - f * i) - b * (d * j - f * h) + c * (d * i - e * h)
+
+
+entries = st.integers(-3, 3)
+invertible = st.tuples(*[st.tuples(entries, entries, entries)] * 3).filter(determinant)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), g=invertible, lams=lambdas_below_3)
+def test_valuation_memberships_match_reference_on_moved_fixtures(
+    coordinate_points, three_collinear, six_on_conic, six_general, data, g, lams
+):
+    # the points are evaluated scaled to integers; the moved sets have
+    # coordinates with denominators once normalized
+    arrangements = [coordinate_points, three_collinear, six_on_conic, six_general]
+    Z_ = moved(data.draw(st.sampled_from(arrangements + [EIGHT_ON_CONIC])), g)
+    assume(any(v.denominator > 1 for p in Z_ for v in p.coords))
+    c = classify(Z_)
+    assert c.kind in ("A", "B")
     assert_oracle_matches_reference(c, Z_, data, lams)
 
 

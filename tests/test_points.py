@@ -19,9 +19,10 @@ from lct3 import (
     ideal_of_points,
     ideal_power,
     point_prime,
+    power_of_m,
     symbolic_power,
 )
-from lct3.points import expected_interpolation_data, is_rank_general
+from lct3.points import expected_interpolation_data, is_rank_general, truncation
 
 
 def test_point_normalization():
@@ -187,3 +188,15 @@ def rank_general_in_every_degree(Z_):
 def test_is_rank_general_checks_every_degree(Z_):
     assert is_rank_general(Z_) is rank_general_in_every_degree(Z_)
 
+
+# general sets of up to seven points
+general_point_sets = st.builds(general_points, st.integers(1, 7), st.integers(0, 10**6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(Z_=st.one_of(general_point_sets, special_point_sets()), k=st.integers(0, 9))
+@example(Z_=PointSet.of([(1, 0, 0), (0, 1, 0), (0, 0, 1)]), k=2)
+def test_truncation_is_the_meet_with_a_power_of_m(Z_, k):
+    # the same reduced basis, in the same order, as the intersection
+    expected = ideal_intersect(power_of_m(k), ideal_of_points(Z_))
+    assert truncation(Z_, k)._int_basis() == expected._int_basis()

@@ -79,10 +79,11 @@ def test_skoda_chain_is_assembled_once_per_call(monkeypatch, five_general):
 # only go down.
 GATE_ASSEMBLED = 21  # J(0) plus each of the 20 candidates, once
 # Fresh Groebner bases computed by the scan, counted where the engine is
-# entered, on integer polynomials.  Two candidates in [2, 3) whose floor
-# terms give the same generators share one intersection with I_Z (19 when
-# each built its own).
-GATE_GROEBNER = 17
+# entered, on integer polynomials.  A [2, 3) clause meets I_Z with no
+# intersection: one basis of (I_Z)_{>=a} + m^b*F + m^k*F^2, shared by the
+# candidates with the same exponents a, b, k (17 with a shared intersection,
+# 19 when each candidate built its own).
+GATE_GROEBNER = 14
 
 
 def test_jump_scan_counts_are_pinned(monkeypatch, cold_caches, five_general):
@@ -115,8 +116,9 @@ def test_jump_scan_counts_are_pinned(monkeypatch, cold_caches, five_general):
 # Noise-free gate on the Skoda step: S-pairs formed (all of them batched by
 # the graded engine after the Gebauer-Moller update) in one
 # multiplier_ideal(c, Z, 4) on the same set, from empty arrangement caches.
-# The count may only go down.
-GATE_BATCHED_PAIRS = 31
+# J(2) takes one basis in x, y, z, not an intersection through the
+# auxiliary variable t (31 pairs).  The count may only go down.
+GATE_BATCHED_PAIRS = 4
 
 
 def test_skoda_batched_pairs_are_pinned(monkeypatch, cold_caches, five_general):
