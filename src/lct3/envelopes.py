@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .ideals import Ideal, ideal_quotient, maximal_ideal, saturate
-from .linalg import RatMatrix
+from .linalg import echelon
 from .points import CACHE_SIZE, PointSet, graded_piece, hilbert_pieces, ideal_of_points
-from .polynomials import Poly, monomials_of_degree, variables
+from .polynomials import Poly, monomials_of_degree
 from .zerodim import hilbert_polynomial, zero_dim_report
 
 CURVE = "curve"
@@ -63,7 +63,7 @@ class Classification:
 def envelope(Z: PointSet, d: int) -> Ideal:
     """Saturated ideal of the d-envelope: the subscheme cut out by the
     degree-d forms through Z.  The zero ideal when no such forms exist."""
-    return saturate(Ideal(graded_piece(Z, d).basis, nvars=3), maximal_ideal())
+    return saturate(graded_piece(Z, d).ideal(), maximal_ideal())
 
 
 def _descriptor(hp, n: int) -> str:
@@ -90,9 +90,9 @@ def _envelope_chain(Z: PointSet):
     Groebner basis its Hilbert polynomial has computed."""
     entries, ggds, previous, first = [], [], None, None
     for piece in hilbert_pieces(Z):
-        if not piece.basis:
+        if not piece.forms:
             continue
-        ideal = Ideal(piece.basis, nvars=3)
+        ideal = piece.ideal()
         if first is None:
             first = ideal
         hp = hilbert_polynomial(ideal)
@@ -115,19 +115,25 @@ def generator_degrees(Z: PointSet):
     one exactly when the degree-d forms through Z exceed the span of
     (linear forms) * (degree d-1 forms through Z), decided by exact rank."""
     out = []
-    prev_basis = ()
+    prev_forms = ()
     for piece in hilbert_pieces(Z):
-        if len(piece.basis) > _shifted_rank(prev_basis, piece.degree):
+        if len(piece.forms) > _shifted_rank(prev_forms, piece.degree):
             out.append(piece.degree)
-        prev_basis = piece.basis
+        prev_forms = piece.forms
     return out
 
 
-def _shifted_rank(basis, d: int) -> int:
-    """Rank of {x*f, y*f, z*f : f in basis} inside the degree-d monomials."""
+def _shifted_rank(forms, d: int) -> int:
+    """Rank of {x*f, y*f, z*f : f in forms} inside the degree-d monomials,
+    forms given as (leading exponent, integer form) pairs."""
     monos = monomials_of_degree(d)
-    shifted = [v * f for f in basis for v in variables(3)]
-    return RatMatrix([[g.terms.get(e, 0) for e in monos] for g in shifted]).rank()
+    shifts = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    rows = [
+        [f.get(tuple(a - b for a, b in zip(e, v)), 0) for e in monos]
+        for _, f in forms
+        for v in shifts
+    ]
+    return len(echelon(rows, range(len(monos)))[1])
 
 
 def is_smooth_plane_curve(F: Poly) -> bool:

@@ -37,6 +37,7 @@ from .polynomials import (
     MonomialOrder,
     Poly,
     elimination_order,
+    monomials_of_degree,
 )
 
 IntPoly = dict  # exponent tuple -> int coefficient
@@ -103,6 +104,13 @@ def _permuted(p: IntPoly, perm) -> IntPoly:
 
 def _divides(a, b) -> bool:
     return all(map(le, a, b))
+
+
+def _standard_count(lts, d: int, nvars: int = 3) -> int:
+    """The number of degree-d monomials that no exponent of lts divides."""
+    return sum(
+        not any(_divides(lt, m) for lt in lts) for m in monomials_of_degree(d, nvars)
+    )
 
 
 def _nf(p: IntPoly, basis, order: MonomialOrder) -> IntPoly:
@@ -184,7 +192,7 @@ def _spoly(f: IntPoly, ltf, g: IntPoly, ltg) -> IntPoly:
     return out
 
 
-def _graded(gens, order: MonomialOrder):
+def _graded(gens, order: MonomialOrder, floor=None):
     """Reduced Groebner basis of homogeneous generators, one degree at a time
     (Faugere's F4 with the normal strategy, J. Pure Appl. Algebra 139, 1999).
 
@@ -198,7 +206,17 @@ def _graded(gens, order: MonomialOrder):
     basis comes out reduced.  Pairs are chosen by Gebauer and Moller's
     update (J. Symb. Comp. 6, 1988).  Returns the basis as a list of
     (leading exponent, primitive integer polynomial) pairs, leading
-    exponents descending; of order it reads only order.key."""
+    exponents descending; of order it reads only order.key.
+
+    floor = (s0, N), when given, states that for every s >= s0 the ideal's
+    degree-s piece has dimension at most C(s + 2, 2) - N (three variables).
+    At such a degree, if the leading exponents found so far leave exactly N
+    standard monomials, their shifts already span a subspace of the piece of
+    that dimension, so the piece has no other leading monomial: every row of
+    the degree reduces to zero, and its generators and pairs are dropped
+    unformed (Traverso's Hilbert-driven criterion, "Hilbert functions and
+    the Buchberger algorithm", J. Symb. Comp. 22, 1996).  Any other count
+    runs the step as without a floor."""
     keyf = order.key
     pending: dict = {}
     for g in gens:
@@ -209,8 +227,11 @@ def _graded(gens, order: MonomialOrder):
     while pending or pairs:
         d = min(chain(pending, (sum(m) for m, _, _ in pairs)))
         rows = pending.pop(d, [])
-        rows += [_spoly(G[i], lts[i], G[j], lts[j]) for m, i, j in pairs if sum(m) == d]
+        due = [(i, j) for m, i, j in pairs if sum(m) == d]
         pairs = [p for p in pairs if sum(p[0]) != d]
+        if floor is not None and d >= floor[0] and _standard_count(lts, d) == floor[1]:
+            continue
+        rows += [_spoly(G[i], lts[i], G[j], lts[j]) for i, j in due]
         for p, lt in _degree_step(rows, G, lts, keyf):
             pairs = _update(pairs, lts, lt)
             G.append(p)
@@ -352,18 +373,20 @@ def _exact_quotient(h: IntPoly, g: IntPoly, lead):
     return quot
 
 
-def _reduced_basis(gens, order: MonomialOrder) -> tuple:
+def _reduced_basis(gens, order: MonomialOrder, floor=None) -> tuple:
     """The reduced Groebner basis of integer polynomials, as (leading
     exponent, primitive polynomial) pairs, leading exponents descending:
     the minimal exponents of monomial generators, else the basis from
-    _graded, or from _dehomogenized when not all are homogeneous."""
+    _graded, which takes the floor, or from _dehomogenized when not all are
+    homogeneous."""
     if gens and all(len(g) == 1 for g in gens):
         exps = {next(iter(g)) for g in gens}
         minimal = [e for e in exps if not any(m != e and _divides(m, e) for m in exps)]
         minimal.sort(key=order.key, reverse=True)
         return tuple((e, {e: 1}) for e in minimal)
-    engine = _graded if all(map(_is_homogeneous, gens)) else _dehomogenized
-    return tuple(engine(gens, order))
+    if all(map(_is_homogeneous, gens)):
+        return tuple(_graded(gens, order, floor))
+    return tuple(_dehomogenized(gens, order))
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +401,14 @@ class Ideal:
     grevlex basis as (leading exponent, primitive polynomial) pairs; an
     ideal made from its reduced basis has that basis as its generators.  The
     monic Fraction basis of groebner() is built on first request and cached.
+    An ideal may carry a floor for its basis computation (see _graded and
+    _bounded).
 
     The reduced basis is unique, so two ideals are equal iff their reduced
     bases coincide.
     """
 
-    __slots__ = ("nvars", "_ints", "_basis", "_gb")
+    __slots__ = ("nvars", "_ints", "_basis", "_floor", "_gb")
 
     def __init__(self, generators, nvars=None):
         gens = []
@@ -400,8 +425,8 @@ class Ideal:
             raise ValueError("generators live in different rings")
         self._fill(nvars, _distinct(_int_from_poly(g, GREVLEX.key) for g in gens))
 
-    def _fill(self, nvars, ints, basis=None):
-        for slot, value in zip(self.__slots__, (nvars, ints, basis, None)):
+    def _fill(self, nvars, ints, basis=None, floor=None):
+        for slot, value in zip(self.__slots__, (nvars, ints, basis, floor, None)):
             object.__setattr__(self, slot, value)
 
     def __setattr__(self, *a):
@@ -425,6 +450,14 @@ class Ideal:
         ideal._fill(nvars, tuple(p for _, p in basis), basis)
         return ideal
 
+    def _bounded(self, floor):
+        """The same ideal, whose reduced basis _graded computes with floor =
+        (s0, N): a promise that for every s >= s0 its degree-s piece has
+        dimension at most C(s + 2, 2) - N."""
+        ideal = object.__new__(Ideal)
+        ideal._fill(self.nvars, self._ints, self._basis, floor)
+        return ideal
+
     # -- generators -----------------------------------------------------------
 
     @property
@@ -443,7 +476,8 @@ class Ideal:
         """The reduced basis as (leading exponent, primitive polynomial)
         pairs, leading exponents descending (cached)."""
         if self._basis is None:
-            object.__setattr__(self, "_basis", _reduced_basis(self._ints, GREVLEX))
+            basis = _reduced_basis(self._ints, GREVLEX, self._floor)
+            object.__setattr__(self, "_basis", basis)
         return self._basis
 
     def groebner(self):

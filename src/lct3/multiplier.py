@@ -21,7 +21,13 @@ from .ideals import (
     ideal_sum,
     unit_ideal,
 )
-from .points import PointSet, ideal_of_points, integral_coords, truncation
+from .points import (
+    PointSet,
+    fat_point_floor,
+    ideal_of_points,
+    integral_coords,
+    truncation,
+)
 from .polynomials import GREVLEX, Poly, monomials_of_degree
 
 LAMBDA_CAP = Fraction(10)
@@ -111,13 +117,19 @@ def _lookup(c: Classification, Z: PointSet, lam: Fraction, memo: dict):
 
 def _assemble(c: Classification, Z: PointSet, lam: Fraction, memo: dict):
     """J(lam) by one Skoda step from memo at lam >= 3, else in closed form.
+    A Skoda product carries the floor of points.fat_point_floor, so that its
+    basis skips each degree from s0 on in which the leading monomials found
+    so far already fill the piece of I_Z^(floor(lam) - 1).
     The [2,3) clauses of cases A and B meet I_Z without an intersection:
     m^a ∩ I_Z is the truncation (I_Z)_{>=a}, and in case B the curve form F
     lies in I_Z, so by the modular law the curve terms pass through the
     meet."""
     if lam >= 3:
         inner = _lookup(c, Z, lam - 1, memo).ideal
-        ideal = _shared(memo, inner, lambda: ideal_product(ideal_of_points(Z), inner))
+        floor = fat_point_floor(Z, math.floor(lam) - 1)
+        ideal = _shared(
+            memo, inner, lambda: ideal_product(ideal_of_points(Z), inner)._bounded(floor)
+        )
         return MultiplierIdealResult(lam, ideal, "skoda-recursion")
     d = c.d
     if c.kind == "A":

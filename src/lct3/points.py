@@ -12,12 +12,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
-from math import lcm
+from functools import cached_property, lru_cache, reduce
+from math import gcd, lcm
 
-from .ideals import Ideal, _int_from_poly, ideal_intersect, ideal_power, unit_ideal
-from .linalg import RatMatrix
-from .polynomials import GREVLEX, Poly, monomials_of_degree
+from .ideals import Ideal, _poly_from_int, ideal_intersect, ideal_power, unit_ideal
+from .linalg import echelon
+from .polynomials import monomials_of_degree
 
 
 def _to_fraction(v) -> Fraction:
@@ -75,20 +75,31 @@ class PointSet:
 
 @dataclass(frozen=True)
 class GradedPiece:
-    """Echelonized basis of the forms of one degree vanishing on a point set."""
+    """The forms of one degree vanishing on a point set, as the reduced
+    echelon basis of their space: (leading exponent, primitive integer
+    form) pairs, leading exponents descending under grevlex."""
 
     degree: int
-    basis: tuple  # of homogeneous Poly
+    forms: tuple
+
+    @cached_property
+    def basis(self) -> tuple:
+        """The same basis as monic Polys."""
+        return tuple(_poly_from_int(p, lead, 3) for lead, p in self.forms)
 
     def codim(self) -> int:
         """Conditions the points impose in this degree: C(d+2, 2) - dim."""
-        return (self.degree + 1) * (self.degree + 2) // 2 - len(self.basis)
+        return (self.degree + 1) * (self.degree + 2) // 2 - len(self.forms)
+
+    def ideal(self) -> Ideal:
+        """The ideal these forms generate."""
+        return Ideal._of([p for _, p in self.forms], 3)
 
 
 def point_prime(p: PointP2) -> Ideal:
     """The ideal of a single point: its degree-1 graded piece, two canonical
     independent linear forms."""
-    return Ideal(graded_piece(PointSet((p,)), 1).basis, nvars=3)
+    return graded_piece(PointSet((p,)), 1).ideal()
 
 
 def integral_coords(p: PointP2) -> tuple:
@@ -99,28 +110,38 @@ def integral_coords(p: PointP2) -> tuple:
     return tuple(v.numerator * (scale // v.denominator) for v in p.coords)
 
 
-def evaluation_matrix(Z: PointSet, d: int) -> RatMatrix:
-    """Rows: points of Z, each scaled to integer coordinates (which scales
-    its row and keeps the kernel); columns: degree-d monomials in grevlex
-    order."""
+def evaluation_matrix(Z: PointSet, d: int) -> list:
+    """Integer rows: points of Z, each scaled to integer coordinates (which
+    scales its row and keeps the kernel); columns: degree-d monomials in
+    descending grevlex order."""
     monos = monomials_of_degree(d)
     rows = []
     for p in Z:
         a, b, c = integral_coords(p)
         rows.append([a**e[0] * b**e[1] * c**e[2] for e in monos])
-    return RatMatrix(rows)
+    return rows
 
 
 def graded_piece(Z: PointSet, d: int) -> GradedPiece:
-    """All degree-d forms vanishing on Z, as an echelon basis."""
+    """All degree-d forms vanishing on Z, as the reduced echelon basis of
+    the kernel of the evaluation matrix, read off one echelon pass with
+    pivots taken right to left.  Each pivot row is then zero right of its
+    pivot, so the kernel vector of a free column f is zero left of f and in
+    every other free column: f is its leading monomial, and every vector
+    is reduced against the others.  Scaled to integers, the vector is -r[f]
+    / r[p] at the pivot p of each row r, and the lcm of those r[p] at f."""
     if d < 0:
         raise ValueError("degree must be non-negative")
     monos = monomials_of_degree(d)
-    basis = [
-        Poly({e: c for e, c in zip(monos, vec)}, 3)
-        for vec in evaluation_matrix(Z, d).kernel_basis()
-    ]
-    return GradedPiece(d, tuple(basis))
+    reduced, pivots = echelon(evaluation_matrix(Z, d), range(len(monos) - 1, -1, -1))
+    forms = []
+    for f in sorted(set(range(len(monos))) - set(pivots)):
+        hits = [(r, p) for r, p in zip(reduced, pivots) if r[f]]
+        scale = lcm(*(abs(r[p]) for r, p in hits))
+        vec = {f: scale, **{p: -r[f] * (scale // r[p]) for r, p in hits}}
+        g = gcd(*vec.values())
+        forms.append((monos[f], {monos[j]: vec[j] // g for j in sorted(vec)}))
+    return GradedPiece(d, tuple(forms))
 
 
 # Entries kept by each arrangement cache (hilbert_pieces, ideal_of_points,
@@ -144,8 +165,8 @@ def ideal_of_points(Z: PointSet) -> Ideal:
     """The saturated homogeneous ideal of Z (equivalently of the cone over
     Z in affine 3-space), generated by its pieces of degree <= t + 1 and
     kept as its reduced grevlex basis."""
-    forms = [f for piece in hilbert_pieces(Z) for f in piece.basis]
-    return Ideal._from_basis(Ideal(forms, nvars=3)._int_basis(), 3)
+    forms = [p for piece in hilbert_pieces(Z) for _, p in piece.forms]
+    return Ideal._from_basis(Ideal._of(forms, 3)._int_basis(), 3)
 
 
 def truncation(Z: PointSet, k: int) -> Ideal:
@@ -161,10 +182,37 @@ def truncation(Z: PointSet, k: int) -> Ideal:
         return IZ
     basis = [(lead, p) for lead, p in IZ._int_basis() if sum(lead) > k]
     pieces = hilbert_pieces(Z)
-    for f in (pieces[k] if k < len(pieces) else graded_piece(Z, k)).basis:
-        p = _int_from_poly(f, GREVLEX.key)
-        basis.append((max(p, key=GREVLEX.key), p))
+    basis += (pieces[k] if k < len(pieces) else graded_piece(Z, k)).forms
     return Ideal._from_basis(basis, 3)
+
+
+def fat_point_floor(Z: PointSet, k: int) -> tuple:
+    """(s0, N) = (k*(t + 1) - 1, n*k*(k + 1)/2) for k >= 1, with n = |Z| and
+    t + 1 = len(hilbert_pieces(Z)) - 1 the regularity of I_Z: every ideal J
+    inside the symbolic power I^(k) = I_Z^(k) has, for every s >= s0, a
+    degree-s piece of dimension at most C(s + 2, 2) - N.  This is the floor
+    that ideals._graded takes.
+
+    The bound.  N = deg kZ, a fat point of order k in the plane having
+    length C(k + 1, 2).  By Chandler ("Regularity of the powers of an
+    ideal", Comm. Algebra 25, 1997), reg I^k <= k * reg I_Z = k*(t + 1),
+    since R/I_Z has dimension 1.  I^(k), the intersection of the p^k over
+    the point primes p, is the saturation of I^k (each p^k is p-primary,
+    and I^k agrees with p^k near p), and saturation does not raise the
+    regularity: it changes only the local cohomology H^0.  R/I^(k) is then
+    Cohen-Macaulay of dimension 1, so its Hilbert function equals its
+    Hilbert polynomial, the constant deg kZ = N, from degree reg I^(k) - 1
+    on, and so for s >= s0.  Hence dim I^(k)_s = C(s + 2, 2) - N there, and
+    dim J_s is at most that.
+
+    The containment for the Skoda ideals.  J(lam) lies in I^(k) for lam >= 3
+    and k = floor(lam) - 1.  For lam in [2, 3), J(lam) lies in I_Z in each
+    case: A is the truncation (I_Z)_{>=a}, B adds m^b*F and m^c*F^2 to it
+    with the curve form F in I_Z, and C is a meet with I_Z.  Each point
+    prime has p * p^j inside p^(j + 1), so I_Z * I^(j) lies in I^(j + 1),
+    and J(lam) = I_Z * J(lam - 1) follows by induction on floor(lam)."""
+    t = len(hilbert_pieces(Z)) - 2
+    return k * (t + 1) - 1, len(Z) * k * (k + 1) // 2
 
 
 @lru_cache(maxsize=CACHE_SIZE)

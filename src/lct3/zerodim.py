@@ -6,9 +6,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ideals import Ideal, ideal_sum, _divides
+from .ideals import Ideal, ideal_sum, _divides, _standard_count
 from .linalg import RatMatrix, echelon
-from .polynomials import GREVLEX, Poly, monomials_of_degree
+from .polynomials import GREVLEX, Poly
 
 
 @dataclass(frozen=True)
@@ -20,12 +20,7 @@ class ZeroDimReport:
 
 def hilbert_function(I: Ideal, t: int) -> int:
     """dim of the degree-t piece of S/I, by counting standard monomials."""
-    lts = I.leading_exponents()
-    return sum(
-        1
-        for e in monomials_of_degree(t, I.nvars)
-        if not any(_divides(l, e) for l in lts)
-    )
+    return _standard_count(I.leading_exponents(), t, I.nvars)
 
 
 def zero_dim_report(I: Ideal) -> ZeroDimReport:

@@ -213,9 +213,9 @@ def test_classify_groebner_runs_are_pinned(
     runs = []
     graded = ideals._graded
 
-    def counted(gens, order):
+    def counted(gens, order, floor=None):
         runs.append(order)
-        return graded(gens, order)
+        return graded(gens, order, floor)
 
     monkeypatch.setattr(ideals, "_graded", counted)
     classify(Z_)
@@ -269,7 +269,8 @@ def test_classify_computes_each_graded_piece_once(monkeypatch, cold_caches):
         per_piece.append(len(eliminations) - before)
         return result
 
-    monkeypatch.setattr(linalg, "echelon", counted_echelon)
+    for module in (linalg, points):
+        monkeypatch.setattr(module, "echelon", counted_echelon)
     for module in (points, envelopes):
         monkeypatch.setattr(module, "graded_piece", counted)
     c = classify(Z_)

@@ -1,5 +1,7 @@
+import math
 import random
 from functools import reduce
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,7 +24,15 @@ from lct3 import (
     power_of_m,
     symbolic_power,
 )
-from lct3.points import expected_interpolation_data, is_rank_general, truncation
+from lct3.linalg import echelon
+from lct3.points import (
+    expected_interpolation_data,
+    fat_point_floor,
+    integral_coords,
+    is_rank_general,
+    truncation,
+)
+from lct3.polynomials import monomials_of_degree
 
 
 def test_point_normalization():
@@ -131,32 +141,45 @@ def reference_ideal_of_points(Z_):
     return reduce(ideal_intersect, (point_prime(p) for p in Z_))
 
 
-coordinate = st.integers(-2, 2)
+def distinct_points(triples):
+    """(point, triple) for the nonzero triples, one per projective point,
+    first seen first."""
+    kept = {}
+    for t in triples:
+        if any(t):
+            kept.setdefault(PointP2.of(*t), t)
+    return list(kept.items())
+
+
 # small coordinates put many triples of points on a line
-grid_point = st.tuples(coordinate, coordinate, coordinate)
-conic_point = st.integers(-3, 3).map(lambda t: (1, t, t * t))  # y^2 = x*z
-at_infinity = st.tuples(coordinate, coordinate).map(lambda t: (*t, 0))  # z = 0
-# one coordinate set to zero: a point on a coordinate line
-on_axis_line = st.tuples(coordinate, coordinate, st.integers(0, 2)).map(
-    lambda t: tuple(0 if i == t[2] else c for i, c in enumerate((t[0], t[1], 1)))
+grid = range(-2, 3)
+POINT_KINDS = (
+    distinct_points(product(grid, repeat=3)),
+    distinct_points((1, t, t * t) for t in range(-3, 4)),  # on y^2 = x*z
+    distinct_points((a, b, 0) for a, b in product(grid, grid)),  # on z = 0
+    # one coordinate set to zero: a point on a coordinate line
+    distinct_points(
+        tuple(0 if i == k else c for i, c in enumerate((a, b, 1)))
+        for a, b in product(grid, grid)
+        for k in range(3)
+    ),
 )
 
 
 @st.composite
-def special_point_sets(draw):
-    """One to eight distinct points, mixing collinear subsets, points on a
-    conic, points on z = 0 and points on the coordinate lines."""
-    kinds = st.one_of(grid_point, conic_point, at_infinity, on_axis_line)
-    n = draw(st.sampled_from(range(1, 9)))
-    raw = draw(
-        st.lists(
-            kinds.filter(any),
-            min_size=n,
-            max_size=n,
-            unique_by=lambda t: PointP2.of(*t),
-        )
-    )
-    return PointSet.of(raw)
+def special_point_sets(draw, max_size=8):
+    """One to max_size distinct points, mixing collinear subsets, points on
+    a conic, points on z = 0 and points on the coordinate lines.  Each point
+    is drawn from the precomputed points of a kind, among those not yet
+    drawn, so no draw is rejected."""
+    n = draw(st.integers(1, max_size))
+    chosen = {}
+    while len(chosen) < n:
+        pools = [[pt for pt in kind if pt[0] not in chosen] for kind in POINT_KINDS]
+        pool = draw(st.sampled_from([p for p in pools if p]))
+        point, triple = draw(st.sampled_from(pool))
+        chosen[point] = triple
+    return PointSet.of(chosen.values())
 
 
 @settings(max_examples=60, deadline=None)
@@ -200,3 +223,44 @@ def test_truncation_is_the_meet_with_a_power_of_m(Z_, k):
     # the same reduced basis, in the same order, as the intersection
     expected = ideal_intersect(power_of_m(k), ideal_of_points(Z_))
     assert truncation(Z_, k)._int_basis() == expected._int_basis()
+
+
+def fat_point_conditions(Z_, k, s):
+    """The linear conditions on a degree-s form to vanish to order k at each
+    point of Z_: its partials of order k - 1 vanish there (Euler's formula
+    and Zariski-Nagata).  One integer row per point, scaled to integer
+    coordinates, and derivative; one column per degree-s monomial."""
+    monos = monomials_of_degree(s)
+    rows = []
+    for p in Z_:
+        coords = integral_coords(p)
+        for alpha in monomials_of_degree(k - 1):
+            row = []
+            for e in monos:
+                value = 1
+                for x, a, b in zip(coords, e, alpha):
+                    value *= math.perm(a, b) * x ** (a - b) if a >= b else 0
+                row.append(value)
+            rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_fat_points_impose_every_condition_from_the_floor_degree(
+    k, coordinate_points, three_collinear, six_on_conic, four_three_collinear
+):
+    # the floor (s0, N) of kZ: its N conditions are independent in degree
+    # s0, so the k-th symbolic power has codimension N there
+    sets = [general_points(n, n) for n in range(1, 7)] + [
+        coordinate_points,
+        three_collinear,
+        six_on_conic,
+        four_three_collinear,
+        PointSet.of([(1, t, 0) for t in range(-2, 4)]),  # six on a line
+    ]
+    for Z_ in sets:
+        s0, N = fat_point_floor(Z_, k)
+        assert N == len(Z_) * k * (k + 1) // 2
+        rows = fat_point_conditions(Z_, k, s0)
+        assert len(rows) == N
+        assert len(echelon(rows, range(len(rows[0])))[1]) == N, (Z_, k)

@@ -2,10 +2,13 @@
 scan, checked against a reference midpoint scan and pinned by operation
 counts."""
 
+import math
 from collections import Counter
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
+from test_points import special_point_sets
 
 from lct3 import (
     classify,
@@ -15,7 +18,9 @@ from lct3 import (
     jumping_numbers,
     multiplier_ideal,
 )
-from lct3 import multiplier
+from lct3 import ideals, multiplier
+from lct3.points import fat_point_floor
+from lct3.polynomials import GREVLEX
 
 
 def reference_scan(c, Z, lam_max):
@@ -87,8 +92,6 @@ GATE_GROEBNER = 14
 
 
 def test_jump_scan_counts_are_pinned(monkeypatch, cold_caches, five_general):
-    from lct3 import ideals
-
     c = classify(five_general)  # caches the ideal of the points and its basis
     assert (c.kind, c.d, c.e) == ("B", 2, 3)
     assembled = Counter()
@@ -99,9 +102,9 @@ def test_jump_scan_counts_are_pinned(monkeypatch, cold_caches, five_general):
         assembled[lam] += 1
         return assemble(c, Z, lam, memo)
 
-    def counted_reduced_basis(gens, order):
+    def counted_reduced_basis(gens, order, floor=None):
         computed.append(gens)
-        return reduced_basis(gens, order)
+        return reduced_basis(gens, order, floor)
 
     monkeypatch.setattr(multiplier, "_assemble", counted_assemble)
     monkeypatch.setattr(ideals, "_reduced_basis", counted_reduced_basis)
@@ -122,8 +125,6 @@ GATE_BATCHED_PAIRS = 4
 
 
 def test_skoda_batched_pairs_are_pinned(monkeypatch, cold_caches, five_general):
-    from lct3 import ideals
-
     c = classify(five_general)  # caches the ideal of the points and its basis
     formed = []
     spoly = ideals._spoly
@@ -135,3 +136,72 @@ def test_skoda_batched_pairs_are_pinned(monkeypatch, cold_caches, five_general):
     monkeypatch.setattr(ideals, "_spoly", counted_spoly)
     assert multiplier_ideal(c, five_general, 4).branch == "skoda-recursion"
     assert len(formed) == GATE_BATCHED_PAIRS, len(formed)
+
+
+# Noise-free gate on the Hilbert-driven skip: degree steps of the graded
+# engine that find no new basis element, in multiplier_ideal(c, Z, lam) and
+# the basis of its ideal, on general_points(n, n) from empty arrangement
+# caches after classify.  Without the fat-point floor they were 3, 2 and 2.
+# The counts may only go down.
+GATE_EMPTY_STEPS = {(5, 6): 2, (6, 4): 1, (7, 4): 1}
+
+
+@pytest.mark.parametrize("n, lam", sorted(GATE_EMPTY_STEPS))
+def test_empty_degree_steps_are_pinned(monkeypatch, cold_caches, n, lam):
+    Z = general_points(n, n)
+    c = classify(Z)
+    empty = []
+    step = ideals._degree_step
+
+    def counted(*args):
+        found = step(*args)
+        empty.append(not found)
+        return found
+
+    monkeypatch.setattr(ideals, "_degree_step", counted)
+    multiplier_ideal(c, Z, lam).ideal._int_basis()
+    assert sum(empty) == GATE_EMPTY_STEPS[n, lam], sum(empty)
+
+
+SKODA_LAMBDAS = [Fraction(3), Fraction(7, 2), Fraction(4), Fraction(9, 2), Fraction(5)]
+
+
+def assert_floor_keeps_the_basis(c, Z, lam):
+    """The basis of a Skoda ideal, computed with the fat-point floor, is the
+    reduced basis of the same generators computed without it."""
+    ideal = multiplier_ideal(c, Z, lam).ideal
+    assert ideal._floor == fat_point_floor(Z, math.floor(lam) - 1)
+    assert ideal._int_basis() == ideals._reduced_basis(ideal._ints, GREVLEX)
+
+
+@st.composite
+def general_skoda_draws(draw):
+    """A general set of 3 to 7 points and an exponent of SKODA_LAMBDAS.  The
+    two bases of J(5) at n = 6, and of J(9/2) and J(5) at n = 7, take 0.6 to
+    3.3 s together, so those exponents are left to the smaller sets."""
+    n = draw(st.integers(3, 7))
+    lam = draw(st.sampled_from(SKODA_LAMBDAS[: {6: 4, 7: 3}.get(n, 5)]))
+    return general_points(n, draw(st.integers(0, 10**6))), lam
+
+
+@settings(max_examples=8, deadline=None)
+@given(draw=general_skoda_draws())
+def test_floor_keeps_the_skoda_bases_of_general_sets(draw):
+    Z, lam = draw
+    c = classify(Z)
+    assume(c.is_supported())  # a rare draw has three points on a line
+    assert_floor_keeps_the_basis(c, Z, lam)
+
+
+@settings(max_examples=8, deadline=None)
+@given(Z=special_point_sets(max_size=6), lam=st.sampled_from(SKODA_LAMBDAS))
+def test_floor_keeps_the_skoda_bases_of_special_sets(Z, lam):
+    c = classify(Z)
+    assume(c.is_supported())
+    assert_floor_keeps_the_basis(c, Z, lam)
+
+
+def test_floor_keeps_the_skoda_basis_of_a_case_c_set(eight_general):
+    c = classify(eight_general)
+    assert c.kind == "C"
+    assert_floor_keeps_the_basis(c, eight_general, Fraction(3))
