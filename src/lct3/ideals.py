@@ -31,7 +31,7 @@ from itertools import chain
 from operator import add, le, sub
 from types import SimpleNamespace
 
-from .linalg import echelon
+from .linalg import echelon, integer_kernel
 from .polynomials import (
     GREVLEX,
     MonomialOrder,
@@ -373,6 +373,50 @@ def _exact_quotient(h: IntPoly, g: IntPoly, lead):
     return quot
 
 
+def _dual_basis(basis, t: int) -> dict:
+    """The orthogonal complement of the degree-t piece J_t of a homogeneous
+    ideal J with reduced grevlex basis `basis`, as primitive integer vectors
+    over the degree-t monomials, one per standard monomial.  A form of
+    degree t lies in J iff it pairs to 0 with each of them.  Returned
+    transposed: each monomial that some vector touches, mapped to its
+    (vector index, entry) pairs.
+
+    J_t is spanned by its Macaulay rows, one shift of a basis element for
+    each initial monomial of degree t.  Their leading monomials differ, so
+    the left-to-right echelon pass only substitutes back, and its kernel is
+    read as in graded_piece (linalg.integer_kernel).  No elimination is
+    needed when every row is a monomial (a degree below every initial one,
+    or a monomial basis): the vectors are then the standard monomials; and
+    none when no monomial is standard, as for the unit ideal."""
+    monos = monomials_of_degree(t)
+    rows, standard = [], []
+    for m in monos:
+        for lt, g in basis:
+            if _divides(lt, m):
+                shift = tuple(map(sub, m, lt))
+                rows.append({tuple(map(add, e, shift)): c for e, c in g.items()})
+                break
+        else:
+            standard.append(m)
+    if not standard:
+        return {}
+    if all(len(r) == 1 for r in rows):
+        return {m: ((i, 1),) for i, m in enumerate(standard)}
+    index = {m: k for k, m in enumerate(monos)}
+    dense = []
+    for r in rows:
+        row = [0] * len(monos)
+        for e, c in r.items():
+            row[index[e]] = c
+        dense.append(row)
+    reduced, pivots = echelon(dense, range(len(monos)))
+    touched: dict = {}
+    for i, (_, vec) in enumerate(integer_kernel(reduced, pivots, len(monos))):
+        for j, v in vec.items():
+            touched.setdefault(monos[j], []).append((i, v))
+    return touched
+
+
 def _reduced_basis(gens, order: MonomialOrder, floor=None) -> tuple:
     """The reduced Groebner basis of integer polynomials, as (leading
     exponent, primitive polynomial) pairs, leading exponents descending:
@@ -504,6 +548,37 @@ class Ideal:
     def _holds(self, p: IntPoly) -> bool:
         """Membership of an integer polynomial: its normal form is zero."""
         return not p or self.is_unit() or not _nf(p, self._int_basis(), GREVLEX)
+
+    def _holds_each(self, forms):
+        """Membership of each homogeneous integer polynomial, yielded in the
+        order given, in this ideal, which must be homogeneous.  The forms of
+        one degree share one _dual_basis, built when the first of them
+        comes, so a caller that stops early builds no more.  This pays for
+        many forms of low degree; a single form, or a few of high degree,
+        is cheaper as one normal form (_holds)."""
+        basis = self._int_basis()
+        if not all(_is_homogeneous(g) for _, g in basis):
+            raise ValueError("batched membership needs a homogeneous ideal")
+        duals: dict = {}
+        for p in forms:
+            if not p:
+                yield True
+                continue
+            if len(p) > 1 and not _is_homogeneous(p):
+                raise ValueError("batched membership needs homogeneous forms")
+            first = next(iter(p))
+            t = sum(first)
+            touched = duals.get(t)
+            if touched is None:
+                touched = duals[t] = _dual_basis(basis, t)
+            if len(p) == 1:  # a monomial pairs to 0 with every vector not touching it
+                yield first not in touched
+                continue
+            pairings: dict = {}
+            for e, c in p.items():
+                for i, v in touched.get(e, ()):
+                    pairings[i] = pairings.get(i, 0) + c * v
+            yield not any(pairings.values())
 
     def contains_ideal(self, other: "Ideal") -> bool:
         """Any generating set of other decides, so this starts no Groebner

@@ -73,6 +73,22 @@ def echelon(rows, columns, prime=None, reducers=()):
     return done, tuple(pivots)
 
 
+def integer_kernel(reduced, pivots, ncols) -> list:
+    """The kernel of an echelon result, each pivot row zero in every other
+    pivot column, as primitive integer vectors: one (f, {column: entry})
+    per free column f, ascending, the entries ascending by column.  The
+    vector of f is zero in every other free column: the lcm of the pivots
+    r[p] at f, and -r[f] * lcm / r[p] at the pivot p of each row r."""
+    vectors = []
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        hits = [(r, p) for r, p in zip(reduced, pivots) if r[f]]
+        scale = lcm(*(abs(r[p]) for r, p in hits))
+        vec = {f: scale, **{p: -r[f] * (scale // r[p]) for r, p in hits}}
+        g = gcd(*vec.values())
+        vectors.append((f, {j: vec[j] // g for j in sorted(vec)}))
+    return vectors
+
+
 class RatMatrix:
     """Immutable dense matrix with Fraction entries."""
 

@@ -13,10 +13,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from math import gcd, lcm
+from math import lcm
 
 from .ideals import Ideal, _poly_from_int, ideal_intersect, ideal_power, unit_ideal
-from .linalg import echelon
+from .linalg import echelon, integer_kernel
 from .polynomials import monomials_of_degree
 
 
@@ -126,22 +126,18 @@ def graded_piece(Z: PointSet, d: int) -> GradedPiece:
     """All degree-d forms vanishing on Z, as the reduced echelon basis of
     the kernel of the evaluation matrix, read off one echelon pass with
     pivots taken right to left.  Each pivot row is then zero right of its
-    pivot, so the kernel vector of a free column f is zero left of f and in
-    every other free column: f is its leading monomial, and every vector
-    is reduced against the others.  Scaled to integers, the vector is -r[f]
-    / r[p] at the pivot p of each row r, and the lcm of those r[p] at f."""
+    pivot, so the kernel vector of a free column f (linalg.integer_kernel)
+    is zero left of f and in every other free column: f is its leading
+    monomial, and every vector is reduced against the others."""
     if d < 0:
         raise ValueError("degree must be non-negative")
     monos = monomials_of_degree(d)
     reduced, pivots = echelon(evaluation_matrix(Z, d), range(len(monos) - 1, -1, -1))
-    forms = []
-    for f in sorted(set(range(len(monos))) - set(pivots)):
-        hits = [(r, p) for r, p in zip(reduced, pivots) if r[f]]
-        scale = lcm(*(abs(r[p]) for r, p in hits))
-        vec = {f: scale, **{p: -r[f] * (scale // r[p]) for r, p in hits}}
-        g = gcd(*vec.values())
-        forms.append((monos[f], {monos[j]: vec[j] // g for j in sorted(vec)}))
-    return GradedPiece(d, tuple(forms))
+    forms = tuple(
+        (monos[f], {monos[j]: v for j, v in vec.items()})
+        for f, vec in integer_kernel(reduced, pivots, len(monos))
+    )
+    return GradedPiece(d, forms)
 
 
 # Entries kept by each arrangement cache (hilbert_pieces, ideal_of_points,
@@ -164,9 +160,13 @@ def hilbert_pieces(Z: PointSet) -> tuple:
 def ideal_of_points(Z: PointSet) -> Ideal:
     """The saturated homogeneous ideal of Z (equivalently of the cone over
     Z in affine 3-space), generated by its pieces of degree <= t + 1 and
-    kept as its reduced grevlex basis."""
+    kept as its reduced grevlex basis.  The basis is computed with the
+    floor fat_point_floor(Z, 1) = (t, n), so a degree from t on whose
+    leading monomials already leave n standard monomials, such as the one
+    past t + 1, is skipped unformed."""
     forms = [p for piece in hilbert_pieces(Z) for _, p in piece.forms]
-    return Ideal._from_basis(Ideal._of(forms, 3)._int_basis(), 3)
+    generated = Ideal._of(forms, 3)._bounded(fat_point_floor(Z, 1))
+    return Ideal._from_basis(generated._int_basis(), 3)
 
 
 def truncation(Z: PointSet, k: int) -> Ideal:

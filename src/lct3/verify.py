@@ -141,9 +141,11 @@ def cross_check(Z: PointSet, lam_grid) -> CrossCheckReport:
         oracle = _valuation_memberships(c, Z, forms, lams) if lams else []
         witness = None
         for i, lam in enumerate(lams):
-            J = assembled[lam]
-            for G, answers in zip(forms, oracle):
-                if answers[i] != J._holds(G):
+            # the forms are many and of degree <= 8, so J decides them from
+            # one dual basis per degree, from its own Groebner basis
+            members = assembled[lam]._holds_each(forms)
+            for G, answers, member in zip(forms, oracle, members):
+                if answers[i] != member:
                     # the monic form, m * F^a with the monic curve form
                     named = _poly_from_int(G, max(G, key=GREVLEX.key), 3)
                     witness = f"lambda={lam}, form={named}"
@@ -158,6 +160,9 @@ def cross_check(Z: PointSet, lam_grid) -> CrossCheckReport:
             )
         )
 
+    # Containments test few generators, of degree up to 12 at the top of the
+    # grid, one normal form each (Ideal._holds): dual bases of such degrees
+    # cost more than the normal forms they would replace.
     bad = []
     for small, large in zip(grid, grid[1:]):
         if not assembled[small].contains_ideal(assembled[large]):

@@ -83,6 +83,21 @@ def test_contains_basics():
         assert Ideal([X * X - Y * Z, Y * Y - X * Z]).contains(g)
 
 
+def test_batched_membership_basics():
+    # the monomial basis, the unit ideal and a binomial one, whose degree-2
+    # and degree-3 pieces take an echelon pass
+    forms = [{}, {(1, 1, 0): 2}, {(2, 0, 0): 1}, {(2, 0, 0): 1, (0, 1, 1): -1}]
+    assert list(Ideal([X * Y, Y * Z])._holds_each(forms)) == [True, True, False, False]
+    assert list(unit_ideal()._holds_each(forms)) == [True] * 4
+    conic = Ideal([X * X - Y * Z])
+    forms.append({(3, 0, 0): 3, (1, 1, 1): -3})
+    assert list(conic._holds_each(forms)) == [True, False, False, True, True]
+    with pytest.raises(ValueError, match="homogeneous forms"):
+        list(conic._holds_each([{(1, 0, 0): 1, (0, 0, 0): 1}]))
+    with pytest.raises(ValueError, match="homogeneous ideal"):
+        list(Ideal([X + Y * Y])._holds_each([{(1, 0, 0): 1}]))
+
+
 def test_sum_product_power():
     assert ideal_equal(ideal_sum(Ideal([X]), Ideal([Y])), Ideal([X, Y]))
     P = ideal_product(Ideal([X, Y]), Ideal([X, Z]))

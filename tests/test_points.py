@@ -24,15 +24,17 @@ from lct3 import (
     power_of_m,
     symbolic_power,
 )
+from lct3.ideals import _reduced_basis
 from lct3.linalg import echelon
 from lct3.points import (
     expected_interpolation_data,
     fat_point_floor,
+    hilbert_pieces,
     integral_coords,
     is_rank_general,
     truncation,
 )
-from lct3.polynomials import monomials_of_degree
+from lct3.polynomials import GREVLEX, monomials_of_degree
 
 
 def test_point_normalization():
@@ -223,6 +225,18 @@ def test_truncation_is_the_meet_with_a_power_of_m(Z_, k):
     # the same reduced basis, in the same order, as the intersection
     expected = ideal_intersect(power_of_m(k), ideal_of_points(Z_))
     assert truncation(Z_, k)._int_basis() == expected._int_basis()
+
+
+@settings(max_examples=40, deadline=None)
+@given(Z_=st.one_of(general_point_sets, special_point_sets()))
+@example(Z_=general_points(12, 12))
+@example(Z_=general_points(15, 15))
+@example(Z_=PointSet.of([(1, t, 0) for t in range(-2, 4)]))  # six on a line
+def test_floor_keeps_the_basis_of_the_ideal_of_points(Z_):
+    # I_Z's basis, computed with the floor fat_point_floor(Z_, 1), is the
+    # reduced basis of the same generators, its pieces, computed without it
+    forms = Ideal._of([p for piece in hilbert_pieces(Z_) for _, p in piece.forms], 3)
+    assert ideal_of_points(Z_)._int_basis() == _reduced_basis(forms._ints, GREVLEX)
 
 
 def fat_point_conditions(Z_, k, s):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from test_points import general_point_sets, special_point_sets
 
 from lct3 import (
     Ideal,
@@ -15,6 +17,7 @@ from lct3 import (
     variables,
 )
 from lct3 import ideals, multiplier, verify
+from lct3.polynomials import monomials_of_degree
 
 F = Fraction
 
@@ -90,36 +93,86 @@ def test_cross_check_unsupported(four_three_collinear):
 
 DEFAULT_GRID = [F(1, 2), F(1), F(3, 2), F(2), F(5, 2)]
 
-# Noise-free gate on the valuation oracle: exact integer divisions by the
-# curve form and integer membership tests (Ideal._holds, which the public
-# contains and contains_ideal also call) in one cross_check at the default
-# grid, after classify.  Each form is factored once and evaluated at the
-# points at most once, so the membership tests are those of the assembled
-# ideals alone (2567 and 1795 while the oracle tested each form against the
-# symbolic power; 7995/2995 and 2060/2099 when both were redone at every
-# exponent).  The counts may only go down.
-GATE_ORACLE = {"three_collinear": (1617, 2145), "six_on_conic": (478, 1511)}
+# Noise-free gate on the valuation oracle, in one cross_check at the default
+# grid after classify: exact integer divisions by the curve form; the
+# membership tests by normal form (Ideal._holds, which the public contains and
+# contains_ideal also call) that are left, those of monotonicity and power
+# containment; the dual bases built, one per exponent and degree 0..8 of the
+# test forms; and how many of these needed an echelon pass, the others being
+# degrees of monomial pieces or with no standard monomial.  The test forms were
+# decided by one normal form each until the assembled ideals answered them
+# from dual bases: 2145 and 1511 normal forms then (2567 and 1795 while the
+# oracle tested each form against the symbolic power; 7995/2995 and
+# 2060/2099 when both were redone at every exponent).  The counts may only
+# go down.
+GATE_ORACLE = {"three_collinear": (1617, 20, 45, 12), "six_on_conic": (478, 41, 45, 13)}
 
 
 @pytest.mark.parametrize("name", sorted(GATE_ORACLE))
 def test_cross_check_oracle_counts_are_pinned(request, monkeypatch, cold_caches, name):
     Z_ = request.getfixturevalue(name)
     classify(Z_)
-    calls = {"divide": 0, "holds": 0}
+    calls = {"divide": 0, "holds": 0, "dual": 0, "eliminated": 0}
     divide, holds = multiplier._exact_quotient, ideals.Ideal._holds
+    dual, kernel = ideals._dual_basis, ideals.integer_kernel
 
-    def counted_divide(*args):
-        calls["divide"] += 1
-        return divide(*args)
+    def counted(key, function):
+        def wrapped(*args):
+            calls[key] += 1
+            return function(*args)
 
-    def counted_holds(self, p):
-        calls["holds"] += 1
-        return holds(self, p)
+        return wrapped
 
-    monkeypatch.setattr(multiplier, "_exact_quotient", counted_divide)
-    monkeypatch.setattr(ideals.Ideal, "_holds", counted_holds)
+    monkeypatch.setattr(multiplier, "_exact_quotient", counted("divide", divide))
+    monkeypatch.setattr(ideals.Ideal, "_holds", counted("holds", holds))
+    monkeypatch.setattr(ideals, "_dual_basis", counted("dual", dual))
+    monkeypatch.setattr(ideals, "integer_kernel", counted("eliminated", kernel))
     assert cross_check(Z_, DEFAULT_GRID).ok
-    assert (calls["divide"], calls["holds"]) == GATE_ORACLE[name], calls
+    assert tuple(calls.values()) == GATE_ORACLE[name], calls
+
+
+coefficients = st.integers(-3, 3)
+
+
+@st.composite
+def random_forms(draw, basis):
+    """Integer forms of degree <= 8: a few with random terms, and a few
+    random combinations of monomial shifts of basis elements, which lie in
+    the ideal unless they cancel to zero."""
+    forms = []
+    for _ in range(draw(st.integers(0, 4))):
+        monos = monomials_of_degree(draw(st.integers(0, 8)))
+        terms = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4))
+        form = {e: draw(coefficients) for e in terms}
+        forms.append({e: v for e, v in form.items() if v})
+    for _ in range(draw(st.integers(0, 4))):
+        t = draw(st.integers(0, 8))
+        low = [(lead, g) for lead, g in basis if sum(lead) <= t]
+        if not low:
+            continue
+        form = {}
+        for lead, g in draw(st.lists(st.sampled_from(low), max_size=3)):
+            shift = draw(st.sampled_from(monomials_of_degree(t - sum(lead))))
+            c = draw(coefficients)
+            for e, v in g.items():
+                e = tuple(a + b for a, b in zip(e, shift))
+                form[e] = form.get(e, 0) + c * v
+        forms.append({e: v for e, v in form.items() if v})
+    return forms
+
+
+@settings(max_examples=30, deadline=None)
+@given(Z_=st.one_of(general_point_sets, special_point_sets()), data=st.data())
+def test_batched_membership_is_the_normal_form_test(Z_, data):
+    # J(lambda) over the default grid decides each verify test form, and
+    # random forms, from its dual bases exactly as by one normal form each
+    c = classify(Z_)
+    assume(c.is_supported())
+    memo = {}
+    for lam in DEFAULT_GRID:
+        J = verify._lookup(c, Z_, lam, memo).ideal
+        forms = verify._oracle_inputs(c) + data.draw(random_forms(J._int_basis()))
+        assert list(J._holds_each(forms)) == [J._holds(G) for G in forms], lam
 
 
 def test_cross_check_assembles_the_grid_on_one_memo(monkeypatch, five_general):
@@ -142,21 +195,9 @@ def test_cross_check_assembles_the_grid_on_one_memo(monkeypatch, five_general):
     assert len(products) == 5
 
 
-@pytest.mark.parametrize(
-    "grid, witness",
-    [
-        (DEFAULT_GRID, "lambda=3/2, form=x"),
-        ([F(5, 2)], "lambda=5/2, form=x*y^2 - x^2*z"),
-        ([F(2), F(5, 2)], "lambda=2, form=1"),
-    ],
-)
-def test_valuation_witness_is_the_first_disagreement(
-    monkeypatch, six_on_conic, grid, witness
-):
-    # J(3/2) and J(5/2) replaced by m * J, J(2) by the unit ideal.  The
-    # report names the least exponent with a disagreement and, there, the
-    # first test form in _oracle_inputs order: on the default grid that is
-    # x at 3/2, although the form 1 disagrees earlier in form order, at 2.
+def tampered_oracle_entry(monkeypatch, Z_, grid):
+    """cross_check's report and valuation-oracle entry with J(3/2) and J(5/2)
+    replaced by m * J, J(2) by the unit ideal."""
     lookup = verify._lookup
 
     def tampered(c, Z_, lam, memo):
@@ -170,8 +211,38 @@ def test_valuation_witness_is_the_first_disagreement(
         return multiplier.MultiplierIdealResult(lam, ideal, result.branch)
 
     monkeypatch.setattr(verify, "_lookup", tampered)
-    report = cross_check(six_on_conic, grid)
-    assert not report.ok
+    report = cross_check(Z_, grid)
     (entry,) = [e for e in report.entries if e.name == "valuation-oracle"]
+    return report, entry
+
+
+@pytest.mark.parametrize(
+    "grid, witness",
+    [
+        (DEFAULT_GRID, "lambda=3/2, form=x"),
+        ([F(5, 2)], "lambda=5/2, form=x*y^2 - x^2*z"),
+        ([F(2), F(5, 2)], "lambda=2, form=1"),
+    ],
+)
+def test_valuation_witness_is_the_first_disagreement(
+    monkeypatch, six_on_conic, grid, witness
+):
+    # The report names the least exponent with a disagreement and, there,
+    # the first test form in _oracle_inputs order: on the default grid that
+    # is x at 3/2, although the form 1 disagrees earlier in form order, at 2.
+    report, entry = tampered_oracle_entry(monkeypatch, six_on_conic, grid)
+    assert not report.ok
     assert not entry.passed
     assert entry.details == witness
+
+
+def test_valuation_witness_in_case_a_is_that_of_the_normal_forms(
+    monkeypatch, six_general
+):
+    # J(5/2) = (I_Z)_{>=5} replaced by m * J(5/2), whose dual bases in
+    # degrees 6 to 8 come from echelon passes.  The Case A test forms are
+    # the monomials, and none vanishes on these points, so none lies in
+    # either ideal: as with one normal form per form, there is no witness.
+    report, entry = tampered_oracle_entry(monkeypatch, six_general, [F(5, 2)])
+    assert report.ok and entry.passed
+    assert entry.details == "agrees on all test forms"
