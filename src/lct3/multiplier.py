@@ -16,7 +16,6 @@ from .ideals import (
     _int_from_poly,
     _is_homogeneous,
     ideal_equal,
-    ideal_intersect,
     ideal_product,
     ideal_sum,
     unit_ideal,
@@ -108,7 +107,7 @@ def _lookup(c: Classification, Z: PointSet, lam: Fraction, memo: dict):
     multiplier_ideal, jumping_numbers or cross_check call; besides the
     exponents, it maps each ideal a Skoda step started from to the product,
     so that one ideal object is multiplied once, and the floor terms of each
-    [2,3) clause (each pair of generating sets in case C) to its ideal."""
+    [2,3) clause to its ideal."""
     result = memo.get(lam)
     if result is None:
         result = memo[lam] = _assemble(c, Z, lam, memo)
@@ -120,10 +119,12 @@ def _assemble(c: Classification, Z: PointSet, lam: Fraction, memo: dict):
     A Skoda product carries the floor of points.fat_point_floor, so that its
     basis skips each degree from s0 on in which the leading monomials found
     so far already fill the piece of I_Z^(floor(lam) - 1).
-    The [2,3) clauses of cases A and B meet I_Z without an intersection:
-    m^a ∩ I_Z is the truncation (I_Z)_{>=a}, and in case B the curve form F
-    lies in I_Z, so by the modular law the curve terms pass through the
-    meet."""
+    The [2,3) clauses meet I_Z without an intersection: m^a ∩ I_Z is the
+    truncation (I_Z)_{>=a}; in case B the curve form F lies in I_Z, so by
+    the modular law the curve terms pass through the meet; and in case C,
+    (m^a ∩ I_W + m^b) ∩ I_Z is (I_W ∩ I_Z)_t = (I_{Z_d})_t in each degree
+    a <= t < b and (I_Z)_t from b on, since Z_d is reduced and the disjoint
+    union of Z and W."""
     if lam >= 3:
         inner = _lookup(c, Z, lam - 1, memo).ideal
         floor = fat_point_floor(Z, math.floor(lam) - 1)
@@ -178,11 +179,21 @@ def _assemble(c: Classification, Z: PointSet, lam: Fraction, memo: dict):
         return MultiplierIdealResult(
             lam, power_of_m(math.floor(lam * d) - 2), "C[0,2)"
         )
-    inner = ideal_sum(
-        _meet(power_of_m(math.floor(lam * d) - 2), c.w_ideal, memo),
-        power_of_m(math.floor(lam * e) - 2 * (1 + e - d)),
-    )
-    ideal = _meet(inner, ideal_of_points(Z), memo)
+    a = max(0, math.floor(lam * d) - 2)
+    b = max(0, math.floor(lam * e) - 2 * (1 + e - d))
+
+    def reduced_sum():
+        # (I_{Z_d})_{>=a} + (I_Z)_{>=b}, generated by its reduced basis
+        ideal = ideal_sum(
+            *(
+                ideal_product(power_of_m(a - sum(lead)), Ideal._of([g], 3))
+                for lead, g in c.zd_ideal._int_basis()
+            ),
+            truncation(Z, b),
+        )
+        return Ideal._from_basis(ideal._int_basis(), 3)
+
+    ideal = _shared(memo, ("C[2,3)", a, b), reduced_sum)
     return MultiplierIdealResult(lam, ideal, "C[2,3)")
 
 
@@ -193,11 +204,6 @@ def _shared(memo: dict, key, build) -> Ideal:
     if ideal is None:
         ideal = memo[key] = build()
     return ideal
-
-
-def _meet(I: Ideal, J: Ideal, memo: dict) -> Ideal:
-    """I ∩ J, shared in the memo under both generating sets."""
-    return _shared(memo, (I._key(), J._key()), lambda: ideal_intersect(I, J))
 
 
 def jump_candidates(c: Classification, lam_max) -> list:

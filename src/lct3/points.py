@@ -208,9 +208,11 @@ def fat_point_floor(Z: PointSet, k: int) -> tuple:
     The containment for the Skoda ideals.  J(lam) lies in I^(k) for lam >= 3
     and k = floor(lam) - 1.  For lam in [2, 3), J(lam) lies in I_Z in each
     case: A is the truncation (I_Z)_{>=a}, B adds m^b*F and m^c*F^2 to it
-    with the curve form F in I_Z, and C is a meet with I_Z.  Each point
-    prime has p * p^j inside p^(j + 1), so I_Z * I^(j) lies in I^(j + 1),
-    and J(lam) = I_Z * J(lam - 1) follows by induction on floor(lam)."""
+    with the curve form F in I_Z, and C adds (I_{Z_d})_{>=a}, inside I_Z
+    since Z lies in the envelope Z_d, to the truncation (I_Z)_{>=b}.  Each
+    point prime has p * p^j inside p^(j + 1), so I_Z * I^(j) lies in
+    I^(j + 1), and J(lam) = I_Z * J(lam - 1) follows by induction on
+    floor(lam)."""
     t = len(hilbert_pieces(Z)) - 2
     return k * (t + 1) - 1, len(Z) * k * (k + 1) // 2
 

@@ -22,7 +22,7 @@ from .ideals import (
 )
 from .multiplier import _capped, _lookup, _valuation_memberships, as_lambda
 from .newton import monomial_mi
-from .points import PointSet, ideal_of_points
+from .points import PointSet, hilbert_pieces, ideal_of_points
 from .polynomials import GREVLEX, Poly, monomials_of_degree
 
 ORACLE_DEGREE_BOUND = 8
@@ -88,21 +88,34 @@ def _is_monomial_ideal(I: Ideal) -> bool:
     return all(len(g.terms) == 1 for g in I.groebner())
 
 
-def _oracle_inputs(c, bound=ORACLE_DEGREE_BOUND, max_power=ORACLE_POWER_BOUND):
+def _oracle_inputs(c, Z, bound=ORACLE_DEGREE_BOUND, max_power=ORACLE_POWER_BOUND):
     """Homogeneous test forms as primitive integer polynomials: all monomials
     up to the degree bound, times powers F^a of the curve form in case B,
-    each product a monomial shift of the integer F^a."""
+    each product a monomial shift of the integer F^a.  In case A, also each
+    form F of the piece (I_Z)_d that is not a monomial, and its shifts by
+    x^k, y^k and z^k up to the degree bound: on a set with no point on a
+    coordinate line no monomial vanishes on Z, and these forms test the
+    degree bound of J where it meets I_Z."""
     powers = [{(0, 0, 0): 1}]
     if c.kind == "B":
         F = _int_from_poly(c.curve_form, GREVLEX.key)
         while len(powers) <= max_power and len(powers) * c.d <= bound:
             powers.append(_int_mul(powers[-1], F))
-    return [
+    forms = [
         {tuple(map(add, e, m)): v for e, v in Fa.items()}
         for a, Fa in enumerate(powers)
         for t in range(bound - a * c.d + 1)
         for m in monomials_of_degree(t)
     ]
+    if c.kind == "A":
+        for _, F in hilbert_pieces(Z)[c.d].forms:
+            if len(F) == 1:
+                continue
+            forms.append(F)
+            for k in range(1, bound - c.d + 1):
+                for shift in ((k, 0, 0), (0, k, 0), (0, 0, k)):
+                    forms.append({tuple(map(add, e, shift)): v for e, v in F.items()})
+    return forms
 
 
 def cross_check(Z: PointSet, lam_grid) -> CrossCheckReport:
@@ -135,7 +148,7 @@ def cross_check(Z: PointSet, lam_grid) -> CrossCheckReport:
         )
 
     if c.kind in ("A", "B"):
-        forms = _oracle_inputs(c)
+        forms = _oracle_inputs(c, Z)
         lams = [lam for lam in grid if lam < 3]
         # each form factored once, and evaluated at the points at most once
         oracle = _valuation_memberships(c, Z, forms, lams) if lams else []

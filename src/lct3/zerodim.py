@@ -97,7 +97,7 @@ def _chart_reduced(J: Ideal):
         modular = _trace_matrix(J, basis, TRACE_PRIME)
         if len(echelon(modular, range(n), TRACE_PRIME)[1]) == n:
             return n, True
-    return n, RatMatrix(_trace_matrix(J, basis)).rank() == n
+    return n, len(echelon(_trace_matrix(J, basis), range(n))[1]) == n
 
 
 def radical_zero_dim(I: Ideal) -> Ideal:

@@ -116,7 +116,7 @@ def test_criterion_5_valuation_oracle(three_collinear, six_on_conic):
     with criterion(5, "valuation oracle equivalence"):
         for Z in (three_collinear, six_on_conic):
             c = classify(Z)
-            forms = [Poly(G, 3) for G in _oracle_inputs(c, bound=8, max_power=3)]
+            forms = [Poly(G, 3) for G in _oracle_inputs(c, Z, bound=8, max_power=3)]
             for lam in jump_candidates(c, 3):
                 if lam >= 3:
                     continue
@@ -231,6 +231,19 @@ def test_criterion_7_skoda_consistency(supported_arrangements):
                 assert ideal_equal(recursive, direct), (name, lam)
 
 
+# A Case C set with points on all three coordinate lines
+CASE_C_ON_COORDINATE_LINES = [
+    (1, 0, 0),
+    (0, 1, 0),
+    (0, 0, 1),
+    (1, 1, 1),
+    (2, -3, 5),
+    (7, 1, -2),
+    (3, 4, 11),
+    (-5, 2, 9),
+]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     Z=st.one_of(general_point_sets, special_point_sets()),
@@ -238,10 +251,14 @@ def test_criterion_7_skoda_consistency(supported_arrangements):
 )
 @example(Z=general_points(5, 5), lam=F(8, 3))  # Case B, (d, e) = (2, 3)
 @example(Z=PointSet.of([(1, 0, 0), (0, 1, 0), (1, 1, 0)]), lam=F(5, 2))
+@example(Z=general_points(8, 8), lam=F(7, 3))  # Case C, (d, e) = (3, 4)
+@example(Z=general_points(8, 1), lam=F(11, 4))
+@example(Z=PointSet.of(CASE_C_ON_COORDINATE_LINES), lam=F(5, 2))
 def test_two_to_three_matches_the_intersection(Z, lam):
-    # cases A and B meet I_Z by truncation and the modular law; the reference
-    # takes the intersection, and both keep the reduced basis as generators
+    # cases A and B meet I_Z by truncation and the modular law, and case C
+    # adds two truncations; the reference takes the intersections, and both
+    # keep the reduced basis as generators
     c = classify(Z)
-    assume(c.kind in ("A", "B"))
+    assume(c.is_supported())
     expected = _closed_form_two_to_three(c, Z, lam)
     assert multiplier_ideal(c, Z, lam).ideal._ints == expected._ints

@@ -1,15 +1,30 @@
 """Metamorphic properties of classify and the jump list: the result depends
 on the set of points only, not on their order, and classify is invariant
-under a projective change of coordinates."""
+under a projective change of coordinates, as are, under an integer one, the
+jumping numbers and the multiplier ideals, whose forms move with it."""
 
 import json
 import random
 from argparse import Namespace
+from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lct3 import PointSet, UnsupportedArrangement, classify, general_points, lct
+from lct3 import (
+    Ideal,
+    Poly,
+    PointSet,
+    UnsupportedArrangement,
+    classify,
+    general_points,
+    ideal_equal,
+    jumping_numbers,
+    lct,
+    multiplier_ideal,
+    variables,
+)
 from lct3.cli import classification_doc, cmd_jumps
 
 FIXTURES = (
@@ -114,3 +129,53 @@ def test_classify_of_fixtures_is_projectively_invariant(name, request):
         while not det3(g):
             g = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
         assert invariants(transformed(Z_, g)) == invariants(Z_)
+
+
+def unimodular(rng):
+    """A 3x3 integer matrix with entries in [-3, 3] and determinant +-1."""
+    g = [[0] * 3] * 3
+    while abs(det3(g)) != 1:
+        g = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
+    return g
+
+
+def inverse(g):
+    """The inverse of a unimodular matrix: its adjugate times det = +-1,
+    each cofactor read cyclically."""
+    det = det3(g)
+
+    def cofactor(i, j):
+        (a, b), (c, d) = [[g[(i + r) % 3][(j + s) % 3] for s in (1, 2)] for r in (1, 2)]
+        return a * d - b * c
+
+    return [[det * cofactor(j, i) for j in range(3)] for i in range(3)]
+
+
+def composed(f: Poly, h) -> Poly:
+    """f(h x): each variable x_i replaced by the linear form sum_j h[i][j] x_j."""
+    forms = [sum((v * c for c, v in zip(row, variables(3))), Poly.zero(3)) for row in h]
+    out = Poly.zero(3)
+    for e, c in f.terms.items():
+        term = Poly.constant(c, 3)
+        for form, k in zip(forms, e):
+            term = term * form**k
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_case_c_is_invariant_under_integer_changes_of_coordinates(seed, eight_general):
+    # Z -> g Z moves each form f through Z to f o g^-1 through g Z, and the
+    # multiplier ideals with it: the jumps up to 3 stay, and J(5/2) of g Z is
+    # J(5/2) of Z moved
+    g = unimodular(random.Random(seed))
+    identity = [[int(i == j) for j in range(3)] for i in range(3)]
+    assert [[sum(map(mul, r, col)) for col in zip(*inverse(g))] for r in g] == identity
+    moved = transformed(eight_general, g)
+    c, c_moved = classify(eight_general), classify(moved)
+    assert c.kind == c_moved.kind == "C"
+    jumps = [lam for lam, _ in jumping_numbers(c, eight_general, 3).jumps]
+    assert [lam for lam, _ in jumping_numbers(c_moved, moved, 3).jumps] == jumps
+    J = multiplier_ideal(c, eight_general, Fraction(5, 2)).ideal
+    expected = Ideal([composed(f, inverse(g)) for f in J.generators], nvars=3)
+    assert ideal_equal(multiplier_ideal(c_moved, moved, Fraction(5, 2)).ideal, expected)

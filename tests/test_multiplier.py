@@ -249,7 +249,7 @@ lambdas_below_3 = st.lists(
 def assert_oracle_matches_reference(c, Z_, data, lams):
     """_valuation_memberships against the reference on a sample of the
     verify test forms plus random monomial * F^a forms."""
-    forms = [Poly(G, 3) for G in _oracle_inputs(c)]
+    forms = [Poly(G, 3) for G in _oracle_inputs(c, Z_)]
     sample = data.draw(st.lists(st.sampled_from(forms), max_size=12))
     for _ in range(data.draw(st.integers(0, 6))):
         t = data.draw(st.integers(0, 5))

@@ -3,6 +3,7 @@ scan, checked against a reference midpoint scan and pinned by operation
 counts."""
 
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -165,6 +166,36 @@ def test_empty_degree_steps_are_pinned(monkeypatch, cold_caches, n, lam):
     monkeypatch.setattr(ideals, "_degree_step", counted)
     multiplier_ideal(c, Z, lam).ideal._int_basis()
     assert sum(empty) == GATE_EMPTY_STEPS[n, lam], sum(empty)
+
+
+# Noise-free gate on Case C below 3: intersections (the elimination through
+# an auxiliary variable in ideals.ideal_intersect) in one computation on
+# eight_general, from empty arrangement caches after classify.  The [2,3)
+# clause is (I_{Z_d})_{>=a} + (I_Z)_{>=b}, two truncations; as the meet
+# (m^a ∩ I_W + m^b) ∩ I_Z it took 9 in the scan to 3 and 2 at 5/2.  The
+# counts may only go down.
+GATE_CASE_C_INTERSECT = {"jumping_numbers": 0, "multiplier_ideal": 0}
+
+
+@pytest.mark.parametrize("name", sorted(GATE_CASE_C_INTERSECT))
+def test_case_c_intersections_are_pinned(monkeypatch, cold_caches, eight_general, name):
+    c = classify(eight_general)
+    assert c.kind == "C"
+    calls = []
+    intersect = ideals.ideal_intersect
+
+    def counted(I, J):
+        calls.append((I, J))
+        return intersect(I, J)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "lct3" and hasattr(module, "ideal_intersect"):
+            monkeypatch.setattr(module, "ideal_intersect", counted)
+    if name == "jumping_numbers":
+        jumping_numbers(c, eight_general, 3)
+    else:
+        multiplier_ideal(c, eight_general, Fraction(5, 2)).ideal._int_basis()
+    assert len(calls) == GATE_CASE_C_INTERSECT[name], len(calls)
 
 
 SKODA_LAMBDAS = [Fraction(3), Fraction(7, 2), Fraction(4), Fraction(9, 2), Fraction(5)]

@@ -12,11 +12,13 @@ from lct3 import (
     cross_check,
     ideal_product,
     maximal_ideal,
+    multiplier_ideal,
     unit_ideal,
     verify_chart_identity,
     variables,
 )
 from lct3 import ideals, multiplier, verify
+from lct3.points import hilbert_pieces
 from lct3.polynomials import monomials_of_degree
 
 F = Fraction
@@ -171,7 +173,7 @@ def test_batched_membership_is_the_normal_form_test(Z_, data):
     memo = {}
     for lam in DEFAULT_GRID:
         J = verify._lookup(c, Z_, lam, memo).ideal
-        forms = verify._oracle_inputs(c) + data.draw(random_forms(J._int_basis()))
+        forms = verify._oracle_inputs(c, Z_) + data.draw(random_forms(J._int_basis()))
         assert list(J._holds_each(forms)) == [J._holds(G) for G in forms], lam
 
 
@@ -240,9 +242,17 @@ def test_valuation_witness_in_case_a_is_that_of_the_normal_forms(
     monkeypatch, six_general
 ):
     # J(5/2) = (I_Z)_{>=5} replaced by m * J(5/2), whose dual bases in
-    # degrees 6 to 8 come from echelon passes.  The Case A test forms are
-    # the monomials, and none vanishes on these points, so none lies in
-    # either ideal: as with one normal form per form, there is no witness.
+    # degrees 6 to 8 come from echelon passes.  No monomial vanishes on these
+    # points, so none lies in either ideal.  The Case A test forms through Z
+    # follow the monomials: the cubics F of (I_Z)_3, then x*F, y*F, z*F, then
+    # x^2*F, the first of degree 5, which lies in J(5/2) but not in m * J(5/2).
+    # One normal form per form decides the same.
     report, entry = tampered_oracle_entry(monkeypatch, six_general, [F(5, 2)])
-    assert report.ok and entry.passed
-    assert entry.details == "agrees on all test forms"
+    assert not report.ok and not entry.passed
+    c = classify(six_general)
+    assert (c.kind, c.d) == ("A", 3)
+    witness = U**2 * hilbert_pieces(six_general)[3].basis[0]
+    J = multiplier_ideal(c, six_general, F(5, 2)).ideal
+    assert J.contains(witness)
+    assert not ideal_product(J, maximal_ideal()).contains(witness)
+    assert entry.details == f"lambda=5/2, form={witness}"
