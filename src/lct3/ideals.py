@@ -1,5 +1,5 @@
-"""Homogeneous-ideal calculus: Groebner bases, membership, sum, product,
-power, intersection, quotient, saturation, elimination, equality.
+"""Homogeneous-ideal calculus: Groebner bases, membership, sum, truncation,
+product, power, intersection, quotient, saturation, elimination, equality.
 
 An Ideal has one representation: its generators as integer-coefficient
 "primitive" polynomials (dict exponent -> int, content 1, positive leading
@@ -373,45 +373,47 @@ def _exact_quotient(h: IntPoly, g: IntPoly, lead):
     return quot
 
 
-def _dual_basis(basis, t: int) -> dict:
-    """The orthogonal complement of the degree-t piece J_t of a homogeneous
-    ideal J with reduced grevlex basis `basis`, as primitive integer vectors
-    over the degree-t monomials, one per standard monomial.  A form of
-    degree t lies in J iff it pairs to 0 with each of them.  Returned
-    transposed: each monomial that some vector touches, mapped to its
-    (vector index, entry) pairs.
-
-    J_t is spanned by its Macaulay rows, one shift of a basis element for
-    each initial monomial of degree t.  Their leading monomials differ, so
-    the left-to-right echelon pass only substitutes back, and its kernel is
-    read as in graded_piece (linalg.integer_kernel).  No elimination is
-    needed when every row is a monomial (a degree below every initial one,
-    or a monomial basis): the vectors are then the standard monomials; and
-    none when no monomial is standard, as for the unit ideal."""
-    monos = monomials_of_degree(t)
+def _echelon_piece(basis, t: int, nvars: int):
+    """(monos, standard, reduced) for the degree-t piece J_t of a
+    homogeneous ideal with reduced grevlex basis `basis`: the degree-t
+    monomials, descending, the standard ones, and the reduced echelon basis
+    of J_t as (rows, pivots), or None where the monomials that are not
+    standard span J_t.  Its Macaulay rows, one shift of a basis element per
+    initial monomial, have distinct leading monomials, so each needs only
+    the rows below it, already reduced, as echelon's fixed pivots."""
+    monos = monomials_of_degree(t, nvars)
+    index = {m: k for k, m in enumerate(monos)}
     rows, standard = [], []
     for m in monos:
-        for lt, g in basis:
-            if _divides(lt, m):
-                shift = tuple(map(sub, m, lt))
-                rows.append({tuple(map(add, e, shift)): c for e, c in g.items()})
-                break
-        else:
+        found = next((b for b in basis if _divides(b[0], m)), None)
+        if found is None:
             standard.append(m)
-    if not standard:
-        return {}
-    if all(len(r) == 1 for r in rows):
-        return {m: ((i, 1),) for i, m in enumerate(standard)}
-    index = {m: k for k, m in enumerate(monos)}
-    dense = []
-    for r in rows:
+            continue
+        shift = tuple(map(sub, m, found[0]))
+        rows.append((index[m], {tuple(map(add, e, shift)): c for e, c in found[1].items()}))
+    if not standard or all(len(r) == 1 for _, r in rows):
+        return monos, standard, None
+    reducers = []
+    for k, r in reversed(rows):
         row = [0] * len(monos)
         for e, c in r.items():
             row[index[e]] = c
-        dense.append(row)
-    reduced, pivots = echelon(dense, range(len(monos)))
+        reducers.append((k, echelon([row], (k,), reducers=reducers)[0][0]))
+    pivots, reduced = zip(*reversed(reducers))
+    return monos, standard, (reduced, pivots)
+
+
+def _dual_basis(basis, t: int, nvars: int) -> dict:
+    """The orthogonal complement of J_t (_echelon_piece) as primitive
+    integer vectors, one per standard monomial (linalg.integer_kernel): a
+    form of degree t lies in J iff it pairs to 0 with each.  Returned
+    transposed: each monomial that some vector touches, mapped to its
+    (vector index, entry) pairs."""
+    monos, standard, reduced = _echelon_piece(basis, t, nvars)
+    if reduced is None:
+        return {m: ((i, 1),) for i, m in enumerate(standard)}
     touched: dict = {}
-    for i, (_, vec) in enumerate(integer_kernel(reduced, pivots, len(monos))):
+    for i, (_, vec) in enumerate(integer_kernel(*reduced, len(monos))):
         for j, v in vec.items():
             touched.setdefault(monos[j], []).append((i, v))
     return touched
@@ -510,10 +512,6 @@ class Ideal:
         leading coefficients."""
         return tuple(Poly(p, self.nvars) for p in self._ints)
 
-    def _key(self):
-        """A hashable key, equal for equal generating sets."""
-        return tuple(frozenset(p.items()) for p in self._ints)
-
     # -- Groebner machinery --------------------------------------------------
 
     def _int_basis(self):
@@ -570,7 +568,7 @@ class Ideal:
             t = sum(first)
             touched = duals.get(t)
             if touched is None:
-                touched = duals[t] = _dual_basis(basis, t)
+                touched = duals[t] = _dual_basis(basis, t, self.nvars)
             if len(p) == 1:  # a monomial pairs to 0 with every vector not touching it
                 yield first not in touched
                 continue
@@ -659,6 +657,27 @@ def ideal_power(I: Ideal, k: int) -> Ideal:
     for _ in range(k - 1):
         out = ideal_product(out, I)
     return out
+
+
+def truncation(J: Ideal, k: int) -> Ideal:
+    """J_{>=k} = m^k ∩ J for a homogeneous ideal J (m^(k - deg F) * F
+    for J = (F)), as its reduced basis: J's basis elements of degree > k,
+    then the reduced echelon basis of J_k.  A degree-k initial monomial lies
+    under no minimal generator of higher degree, and vice versa."""
+    basis = J._int_basis()
+    if not all(_is_homogeneous(g) for _, g in basis):
+        raise ValueError("truncation needs a homogeneous ideal")
+    k = max(k, 0)
+    monos, standard, reduced = _echelon_piece(basis, k, J.nvars)
+    if reduced is None:
+        standard = set(standard)
+        piece = [(m, {m: 1}) for m in monos if m not in standard]
+    else:
+        piece = [
+            (monos[p], _normalize({monos[j]: v for j, v in enumerate(r) if v}, monos[p]))
+            for r, p in zip(*reduced)
+        ]
+    return Ideal._from_basis([b for b in basis if sum(b[0]) > k] + piece, J.nvars)
 
 
 def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:

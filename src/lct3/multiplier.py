@@ -18,16 +18,11 @@ from .ideals import (
     ideal_equal,
     ideal_product,
     ideal_sum,
+    truncation,
     unit_ideal,
 )
-from .points import (
-    PointSet,
-    fat_point_floor,
-    ideal_of_points,
-    integral_coords,
-    truncation,
-)
-from .polynomials import GREVLEX, Poly, monomials_of_degree
+from .points import PointSet, fat_point_floor, ideal_of_points, integral_coords
+from .polynomials import GREVLEX, Poly
 
 LAMBDA_CAP = Fraction(10)
 
@@ -56,11 +51,10 @@ class JumpTable:
 
 
 def power_of_m(k: int) -> Ideal:
-    """m^k for k >= 1; the unit ideal for k <= 0 (the reading under which
-    the closed formulas return (1) below the log canonical threshold)."""
-    if k <= 0:
-        return unit_ideal(3)
-    return Ideal._from_basis([(e, {e: 1}) for e in monomials_of_degree(k)], 3)
+    """m^k, the truncation of the unit ideal: the unit ideal for k <= 0 (the
+    reading under which the closed formulas return (1) below the log
+    canonical threshold)."""
+    return truncation(unit_ideal(3), k)
 
 
 class UnsupportedArrangement(ValueError):
@@ -106,8 +100,8 @@ def _lookup(c: Classification, Z: PointSet, lam: Fraction, memo: dict):
     """J(lam) from memo, assembled on a miss.  The memo belongs to a single
     multiplier_ideal, jumping_numbers or cross_check call; besides the
     exponents, it maps each ideal a Skoda step started from to the product,
-    so that one ideal object is multiplied once, and the floor terms of each
-    [2,3) clause to its ideal."""
+    so that one ideal object is multiplied once, and the terms of each
+    closed-form clause (_clause) to its ideal."""
     result = memo.get(lam)
     if result is None:
         result = memo[lam] = _assemble(c, Z, lam, memo)
@@ -118,13 +112,7 @@ def _assemble(c: Classification, Z: PointSet, lam: Fraction, memo: dict):
     """J(lam) by one Skoda step from memo at lam >= 3, else in closed form.
     A Skoda product carries the floor of points.fat_point_floor, so that its
     basis skips each degree from s0 on in which the leading monomials found
-    so far already fill the piece of I_Z^(floor(lam) - 1).
-    The [2,3) clauses meet I_Z without an intersection: m^a ∩ I_Z is the
-    truncation (I_Z)_{>=a}; in case B the curve form F lies in I_Z, so by
-    the modular law the curve terms pass through the meet; and in case C,
-    (m^a ∩ I_W + m^b) ∩ I_Z is (I_W ∩ I_Z)_t = (I_{Z_d})_t in each degree
-    a <= t < b and (I_Z)_t from b on, since Z_d is reduced and the disjoint
-    union of Z and W."""
+    so far already fill the piece of I_Z^(floor(lam) - 1)."""
     if lam >= 3:
         inner = _lookup(c, Z, lam - 1, memo).ideal
         floor = fat_point_floor(Z, math.floor(lam) - 1)
@@ -132,73 +120,70 @@ def _assemble(c: Classification, Z: PointSet, lam: Fraction, memo: dict):
             memo, inner, lambda: ideal_product(ideal_of_points(Z), inner)._bounded(floor)
         )
         return MultiplierIdealResult(lam, ideal, "skoda-recursion")
-    d = c.d
+    branch, terms = _clause(c, lam)
+    ideal = _shared(memo, terms, lambda: _closed_form(c, Z, terms))
+    return MultiplierIdealResult(lam, ideal, branch)
+
+
+def _clause(c: Classification, lam: Fraction):
+    """The closed form below 3 as (branch, terms): J(lam) is the sum over
+    the terms (K, k) of m^k * K for K the unit ideal "1", the curve form "F"
+    or its square "F2", and of m^k ∩ K for K = I_Z ("Z") or I_{Z_d} ("Zd"),
+    each exponent clamped at 0.
+
+    The [2,3) clauses are the paper's sums met with I_Z, without an
+    intersection: m^a ∩ I_Z is the truncation (I_Z)_{>=a}; in case B the
+    curve form F lies in I_Z, so by the modular law the curve terms pass
+    through the meet; and in case C, (m^a ∩ I_W + m^b) ∩ I_Z is
+    (I_W ∩ I_Z)_t = (I_{Z_d})_t in each degree a <= t < b and (I_Z)_t from
+    b on, since Z_d is reduced and the disjoint union of Z and W."""
+    d, e = c.d, c.e
+
+    def m(q, shift):  # the exponent floor(lam * q) - shift, clamped at 0
+        return max(0, math.floor(lam * q) - shift)
+
     if c.kind == "A":
-        a = math.floor(lam * d) - 2
         if lam < 2:
-            return MultiplierIdealResult(lam, power_of_m(a), "A[0,2)")
-        ideal = _shared(memo, ("A[2,3)", a), lambda: truncation(Z, a))
-        return MultiplierIdealResult(lam, ideal, "A[2,3)")
+            return "A[0,2)", (("1", m(d, 2)),)
+        return "A[2,3)", (("Z", m(d, 2)),)
     if c.kind == "B":
-        e, F = c.e, c.curve_form
         if lam < 1:
-            return MultiplierIdealResult(
-                lam, power_of_m(math.floor(lam * d) - 2), "B[0,1)"
-            )
-        curve = Ideal([F], nvars=3)
+            return "B[0,1)", (("1", m(d, 2)),)
         if lam < 2:
-            ideal = ideal_sum(
-                power_of_m(math.floor(lam * e) - (2 + e - d)),
-                ideal_product(power_of_m(math.floor(lam * d) - (2 + d)), curve),
-            )
-            return MultiplierIdealResult(lam, ideal, "B[1,2)")
-        # the exponents of m, where every one <= 0 gives the unit ideal
-        a, b, k = (
-            max(0, x)
-            for x in (
-                math.floor(lam * e) - (2 + e - d),
-                math.floor(lam * e) - (2 + 2 * e - d),
-                math.floor(lam * d) - (2 + 2 * d),
-            )
+            return "B[1,2)", (("1", m(e, 2 + e - d)), ("F", m(d, 2 + d)))
+        return "B[2,3)", (
+            ("Z", m(e, 2 + e - d)),
+            ("F", m(e, 2 + 2 * e - d)),
+            ("F2", m(d, 2 + 2 * d)),
         )
-
-        def reduced_sum():
-            # (m^a + m^b*F + m^k*F^2) ∩ I_Z, generated by its reduced basis
-            ideal = ideal_sum(
-                truncation(Z, a),
-                ideal_product(power_of_m(b), curve),
-                ideal_product(power_of_m(k), Ideal([F * F], nvars=3)),
-            )
-            return Ideal._from_basis(ideal._int_basis(), 3)
-
-        ideal = _shared(memo, ("B[2,3)", a, b, k), reduced_sum)
-        return MultiplierIdealResult(lam, ideal, "B[2,3)")
-    # case C
-    e = c.e
     if lam < 2:
-        return MultiplierIdealResult(
-            lam, power_of_m(math.floor(lam * d) - 2), "C[0,2)"
-        )
-    a = max(0, math.floor(lam * d) - 2)
-    b = max(0, math.floor(lam * e) - 2 * (1 + e - d))
+        return "C[0,2)", (("1", m(d, 2)),)
+    return "C[2,3)", (("Zd", m(d, 2)), ("Z", m(e, 2 * (1 + e - d))))
 
-    def reduced_sum():
-        # (I_{Z_d})_{>=a} + (I_Z)_{>=b}, generated by its reduced basis
-        ideal = ideal_sum(
-            *(
-                ideal_product(power_of_m(a - sum(lead)), Ideal._of([g], 3))
-                for lead, g in c.zd_ideal._int_basis()
-            ),
-            truncation(Z, b),
-        )
-        return Ideal._from_basis(ideal._int_basis(), 3)
 
-    ideal = _shared(memo, ("C[2,3)", a, b), reduced_sum)
-    return MultiplierIdealResult(lam, ideal, "C[2,3)")
+def _closed_form(c: Classification, Z: PointSet, terms) -> Ideal:
+    """The sum of a clause's terms, each one truncation: m^k * K is
+    K_{>=k + deg K} for a principal K, and m^k ∩ K is K_{>=k}.  A sum is
+    kept as its reduced basis, so that Skoda products multiply basis
+    elements."""
+    parts = []
+    for K, k in terms:
+        if K == "1":
+            parts.append(truncation(unit_ideal(3), k))
+        elif K in ("F", "F2"):
+            F = c.curve_form if K == "F" else c.curve_form**2
+            G = _int_from_poly(F, GREVLEX.key)
+            principal = Ideal._from_basis([(max(G, key=GREVLEX.key), G)], 3)
+            parts.append(truncation(principal, k + F.total_degree()))
+        else:
+            parts.append(truncation(ideal_of_points(Z) if K == "Z" else c.zd_ideal, k))
+    if len(parts) == 1:
+        return parts[0]
+    return Ideal._from_basis(ideal_sum(*parts)._int_basis(), 3)
 
 
 def _shared(memo: dict, key, build) -> Ideal:
-    """memo[key], built on a miss: exponents whose floor terms agree share
+    """memo[key], built on a miss: exponents whose clause terms agree share
     one ideal object and one basis, and each object is multiplied once."""
     ideal = memo.get(key)
     if ideal is None:

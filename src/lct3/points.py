@@ -1,6 +1,6 @@
 """Arrangements of lines through the origin, encoded by their direction
 points in the projective plane: graded pieces of the interpolation problem,
-the saturated ideal they generate, its truncations, and symbolic powers.
+the saturated ideal they generate, and symbolic powers.
 
 The pieces (I_Z)_d are computed once per arrangement, for d = 0, ..., t + 1
 with t the first degree in which Z imposes n = |Z| conditions.  I_Z is
@@ -169,23 +169,6 @@ def ideal_of_points(Z: PointSet) -> Ideal:
     return Ideal._from_basis(generated._int_basis(), 3)
 
 
-def truncation(Z: PointSet, k: int) -> Ideal:
-    """(I_Z)_{>=k}, the forms of I_Z of degree >= k: m^k ∩ I_Z, since I_Z is
-    homogeneous.  Its reduced basis is the reduced echelon basis of the piece
-    (I_Z)_k, which graded_piece gives (hilbert_pieces holds the lower ones),
-    followed by the elements of I_Z's reduced basis of degree > k: a
-    degree-k monomial of the initial ideal lies under no minimal generator
-    of higher degree, and a minimal generator of higher degree lies over no
-    degree-k monomial of it."""
-    IZ = ideal_of_points(Z)
-    if k <= 0:
-        return IZ
-    basis = [(lead, p) for lead, p in IZ._int_basis() if sum(lead) > k]
-    pieces = hilbert_pieces(Z)
-    basis += (pieces[k] if k < len(pieces) else graded_piece(Z, k)).forms
-    return Ideal._from_basis(basis, 3)
-
-
 def fat_point_floor(Z: PointSet, k: int) -> tuple:
     """(s0, N) = (k*(t + 1) - 1, n*k*(k + 1)/2) for k >= 1, with n = |Z| and
     t + 1 = len(hilbert_pieces(Z)) - 1 the regularity of I_Z: every ideal J
@@ -206,13 +189,12 @@ def fat_point_floor(Z: PointSet, k: int) -> tuple:
     dim J_s is at most that.
 
     The containment for the Skoda ideals.  J(lam) lies in I^(k) for lam >= 3
-    and k = floor(lam) - 1.  For lam in [2, 3), J(lam) lies in I_Z in each
-    case: A is the truncation (I_Z)_{>=a}, B adds m^b*F and m^c*F^2 to it
-    with the curve form F in I_Z, and C adds (I_{Z_d})_{>=a}, inside I_Z
-    since Z lies in the envelope Z_d, to the truncation (I_Z)_{>=b}.  Each
-    point prime has p * p^j inside p^(j + 1), so I_Z * I^(j) lies in
-    I^(j + 1), and J(lam) = I_Z * J(lam - 1) follows by induction on
-    floor(lam)."""
+    and k = floor(lam) - 1.  For lam in [2, 3), J(lam) lies in I_Z, since
+    each term of its clause (multiplier._clause) does: a truncation of I_Z,
+    or of I_{Z_d} (Z lies in the envelope Z_d), or in case B a multiple of
+    the curve form F, which lies in I_Z.  Each point prime has p * p^j
+    inside p^(j + 1), so I_Z * I^(j) lies in I^(j + 1), and J(lam) =
+    I_Z * J(lam - 1) follows by induction on floor(lam)."""
     t = len(hilbert_pieces(Z)) - 2
     return k * (t + 1) - 1, len(Z) * k * (k + 1) // 2
 

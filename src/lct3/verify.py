@@ -1,6 +1,7 @@
-"""Batch cross-verification: the chart-decomposition ideal identity, the
-monomial (Newton polyhedron) oracle, the valuation membership oracle, and
-structural monotonicity / containment checks, collected into one report."""
+"""Batch cross-verification: cross_check collects the monomial (Newton
+polyhedron) oracle, the valuation membership oracle, and structural
+monotonicity / containment checks into one report.  The chart-decomposition
+ideal identity, verify_chart_identity, is a separate check it does not run."""
 
 from __future__ import annotations
 

@@ -7,8 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ideals import Ideal, ideal_sum, _divides, _standard_count
-from .linalg import RatMatrix, echelon
-from .polynomials import GREVLEX, Poly
+from .linalg import echelon, integer_kernel
+from .polynomials import GREVLEX
 
 
 @dataclass(frozen=True)
@@ -103,13 +103,14 @@ def _chart_reduced(J: Ideal):
 def radical_zero_dim(I: Ideal) -> Ideal:
     """Radical of a zero-dimensional affine ideal.  In characteristic 0 the
     nilradical of A = k[x]/I is the kernel of the trace form of A, so the
-    radical is I plus the polynomials that kernel spans."""
+    radical is I plus the polynomials that kernel spans.  With pivots taken
+    left to right, each kernel vector (linalg.integer_kernel) is positive
+    in its last nonzero column, the leading one of the ascending basis."""
     basis = _standard_monomials(I)
-    form = RatMatrix(_trace_matrix(I, basis))
-    nilpotents = [
-        Poly(dict(zip(basis, vec)), I.nvars) for vec in form.kernel_basis()
-    ]
-    return ideal_sum(I, Ideal(nilpotents, nvars=I.nvars))
+    n = len(basis)
+    kernel = integer_kernel(*echelon(_trace_matrix(I, basis), range(n)), n)
+    nilpotents = [{basis[j]: v for j, v in vec.items()} for _, vec in kernel]
+    return ideal_sum(I, Ideal._of(nilpotents, I.nvars))
 
 
 def _trace_matrix(I: Ideal, basis, prime: int = None) -> list:

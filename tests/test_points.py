@@ -20,11 +20,14 @@ from lct3 import (
     ideal_intersect,
     ideal_of_points,
     ideal_power,
+    maximal_ideal,
     point_prime,
-    power_of_m,
     symbolic_power,
+    unit_ideal,
+    variables,
 )
-from lct3.ideals import _reduced_basis
+from lct3.envelopes import classify
+from lct3.ideals import _reduced_basis, truncation
 from lct3.linalg import echelon
 from lct3.points import (
     expected_interpolation_data,
@@ -32,7 +35,6 @@ from lct3.points import (
     hilbert_pieces,
     integral_coords,
     is_rank_general,
-    truncation,
 )
 from lct3.polynomials import GREVLEX, monomials_of_degree
 
@@ -222,9 +224,52 @@ general_point_sets = st.builds(general_points, st.integers(1, 7), st.integers(0,
 @given(Z_=st.one_of(general_point_sets, special_point_sets()), k=st.integers(0, 9))
 @example(Z_=PointSet.of([(1, 0, 0), (0, 1, 0), (0, 0, 1)]), k=2)
 def test_truncation_is_the_meet_with_a_power_of_m(Z_, k):
-    # the same reduced basis, in the same order, as the intersection
-    expected = ideal_intersect(power_of_m(k), ideal_of_points(Z_))
-    assert truncation(Z_, k)._int_basis() == expected._int_basis()
+    assert_truncation_is_the_meet(ideal_of_points(Z_), k)
+
+
+def assert_truncation_is_the_meet(J, k):
+    # the same reduced basis, in the same order, as the intersection with
+    # m^k built as a product of maximal ideals, not as a truncation
+    expected = ideal_intersect(ideal_power(maximal_ideal(), k), J)
+    assert truncation(J, k)._int_basis() == expected._int_basis()
+
+
+def case_b_curve_power(power):
+    c = classify(general_points(5, 5))
+    assert c.kind == "B"
+    return Ideal([c.curve_form**power])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        *(lambda s=s: classify(general_points(8, s)).zd_ideal for s in (1, 2, 8)),
+        lambda: case_b_curve_power(1),
+        lambda: case_b_curve_power(2),
+        lambda: unit_ideal(3),
+    ],
+    ids=["zd-8-1", "zd-8-2", "zd-8-8", "curve-form", "curve-form-squared", "unit"],
+)
+def test_truncation_of_a_homogeneous_ideal_is_the_meet(build):
+    # Case C's envelope ideal I_{Z_d}, the principal ideals (F) and (F^2) of
+    # a Case B curve form, and the unit ideal, whose truncations are m^k*F,
+    # m^k*F^2 and m^k from their generators' degree on
+    J = build()
+    for k in range(9):
+        assert_truncation_is_the_meet(J, k)
+
+
+def test_truncation_rejects_an_inhomogeneous_ideal():
+    with pytest.raises(ValueError, match="homogeneous ideal"):
+        truncation(Ideal([X + Y * Y]), 2)
+
+
+def test_truncation_keeps_the_ring():
+    # an ideal in two variables, truncated among their monomials
+    x, y = variables(2)
+    J = Ideal([x * x - y * y, x * y * y])
+    expected = ideal_intersect(ideal_power(Ideal([x, y]), 3), J)
+    assert truncation(J, 3)._int_basis() == expected._int_basis()
 
 
 @settings(max_examples=40, deadline=None)

@@ -240,3 +240,24 @@ def test_floor_keeps_the_skoda_basis_of_a_case_c_set(eight_general):
     c = classify(eight_general)
     assert c.kind == "C"
     assert_floor_keeps_the_basis(c, eight_general, Fraction(3))
+
+
+# Periodicity above 2 (Ein, Lazarsfeld, Smith and Varolin, "Jumping
+# coefficients of multiplier ideals", Duke 2004, Prop. 1.12): I_Z has
+# analytic spread at most 3, so xi > 2 is a jump iff xi + 1 is.  A scan to
+# lam_max sees xi + 1 only for xi <= lam_max - 1, and xi - 1 only for xi > 3.
+@pytest.mark.parametrize(
+    "fixture, lam_max",
+    [
+        ("coordinate_points", 5),
+        ("three_collinear", 5),
+        ("six_on_conic", 5),
+        ("six_general", 5),
+        ("eight_general", 4),
+    ],
+)
+def test_jumps_above_two_are_periodic(request, fixture, lam_max):
+    Z = request.getfixturevalue(fixture)
+    jumps = {xi for xi, _ in jumping_numbers(classify(Z), Z, lam_max).jumps}
+    assert all(xi + 1 in jumps for xi in jumps if 2 < xi <= lam_max - 1), jumps
+    assert all(xi - 1 in jumps for xi in jumps if xi > 3), jumps

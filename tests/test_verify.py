@@ -178,8 +178,8 @@ def test_batched_membership_is_the_normal_form_test(Z_, data):
 
 
 def test_cross_check_assembles_the_grid_on_one_memo(monkeypatch, five_general):
-    # J(2) takes two products in its closed form and each Skoda step one;
-    # with a memo per exponent, J(3), J(4) and J(5) took 12 products
+    # J(2) is a sum of truncations, with no product, and on the grid's one
+    # memo each Skoda step takes one
     c = classify(five_general)
     assert (c.kind, c.d, c.e) == ("B", 2, 3)
     products, skoda = [], []
@@ -194,7 +194,7 @@ def test_cross_check_assembles_the_grid_on_one_memo(monkeypatch, five_general):
     monkeypatch.setattr(multiplier, "ideal_product", counted)
     assert cross_check(five_general, [3, 4, 5]).ok
     assert len(skoda) == 3
-    assert len(products) == 5
+    assert len(products) == 3
 
 
 def tampered_oracle_entry(monkeypatch, Z_, grid):
