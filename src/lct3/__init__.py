@@ -65,7 +65,7 @@ from .polynomials import (
     poly_str,
     variables,
 )
-from .verify import CrossCheckReport, cross_check, verify_chart_identity
+from .verify import CrossCheckReport, cross_check
 from .zerodim import ZeroDimReport, hilbert_function, radical_zero_dim, zero_dim_report
 
 __version__ = "0.1.0"

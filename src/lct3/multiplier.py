@@ -209,31 +209,35 @@ def jump_candidates(c: Classification, lam_max) -> list:
 
 
 def jumping_numbers(c: Classification, Z: PointSet, lam_max) -> JumpTable:
-    """Scan the candidate exponents; record those where the multiplier ideal
-    strictly shrinks relative to just below.  The candidates hold every
-    breakpoint of every floor term and of its Skoda shift, so J is constant
-    on [previous candidate, candidate) and each candidate is compared with
-    the previous one, starting from J(0).  One memo serves the whole scan,
-    so each exponent is assembled once.  Where J does not jump, the memo
-    keeps the previous ideal object, whose basis and Skoda products are
-    already computed."""
-    lam_max = as_lambda(lam_max)
-    if lam_max > LAMBDA_CAP:
-        raise ValueError(f"cut-off {lam_max} exceeds the supported cap {LAMBDA_CAP}")
+    """Scan the candidate exponents, which hold every breakpoint of every
+    floor term and of its Skoda shift, so J is constant on [previous
+    candidate, candidate): each candidate is compared once with the previous
+    one, from J(0), and is a jump where they differ.  One memo serves the
+    scan, so each exponent is assembled once; where J does not jump, the
+    memo keeps the previous ideal object, basis and Skoda products included.
+
+    A jump is a strict shrink, as J(lam) ⊆ J(mu) for mu < lam, exponents
+    clamped at 0.  Within a clause below 3, every exponent max(0,
+    floor(lam q) - s) is non-decreasing in lam, and K_{>=k} shrinks as k
+    grows.  At a boundary, J lies in the clause below at its top: m^{d-2} +
+    (F) ⊆ m^{d-3} (B at 1); (I_Z)_{>=e+d-2} + m^{d-2} F + (F^2) ⊆
+    m^{e+d-3} + m^{d-3} F (B at 2); (I_Z)_{>=2d-2} and (I_{Z_d})_{>=2d-2}
+    lie in m^{2d-3} (A and C at 2); and I_Z J(2) ⊆ J(3 - eps), since I_Z
+    starts in degree d and, by the envelope chain, is (F) + (I_Z)_{>=e} in
+    case B and (I_{Z_d})_{<e} + (I_Z)_{>=e} in case C.  Above 3, J(lam) =
+    I_Z J(lam - 1) inherits the nesting."""
+    lam_max = _capped(lam_max)
     _require_supported(c)
     memo: dict = {}
     jumps = []
     before = _lookup(c, Z, Fraction(0), memo).ideal
     for cand in jump_candidates(c, lam_max):
         result = _lookup(c, Z, cand, memo)
-        at = result.ideal
-        if ideal_equal(at, before):
+        if ideal_equal(result.ideal, before):
             memo[cand] = MultiplierIdealResult(cand, before, result.branch)
-            continue
-        if not before.contains_ideal(at):
-            raise RuntimeError("multiplier ideal grew across a candidate; bug")
-        jumps.append((cand, at))
-        before = at
+        else:
+            before = result.ideal
+            jumps.append((cand, before))
     return JumpTable(tuple(jumps), jumps[0][0] if jumps else None)
 
 

@@ -253,8 +253,9 @@ def general_points(n: int, seed: int) -> PointSet:
     """A reproducible random point set with verified general rank behavior.
 
     Samples integer coordinates uniformly from [-B, B]; generality is not
-    assumed but checked, with a bounded number of resamples.
-    """
+    assumed but checked, with a bounded number of resamples.  Rank generality
+    allows three points on a line (at n = 5 first for seed 1495); such sets
+    are kept, so that each seed keeps its draw."""
     if n < 1:
         raise ValueError("need at least one point")
     rng = random.Random(seed)

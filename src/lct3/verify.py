@@ -1,30 +1,25 @@
 """Batch cross-verification: cross_check collects the monomial (Newton
 polyhedron) oracle, the valuation membership oracle, and structural
-monotonicity / containment checks into one report.  The chart-decomposition
-ideal identity, verify_chart_identity, is a separate check it does not run."""
+monotonicity / containment checks into one report."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from operator import add
 
 from .envelopes import classify
 from .ideals import (
-    Ideal,
     _int_from_poly,
     _int_mul,
     _poly_from_int,
     ideal_equal,
-    ideal_intersect,
     ideal_product,
-    ideal_sum,
 )
 from .multiplier import _capped, _lookup, _valuation_memberships, as_lambda
 from .newton import monomial_mi
 from .points import PointSet, hilbert_pieces, ideal_of_points
-from .polynomials import GREVLEX, Poly, monomials_of_degree
+from .polynomials import GREVLEX, monomials_of_degree
 
 ORACLE_DEGREE_BOUND = 8
 ORACLE_POWER_BOUND = 3
@@ -43,53 +38,7 @@ class CrossCheckReport:
     ok: bool
 
 
-def verify_chart_identity(J_list, a_list) -> bool:
-    """Check the chart-decomposition identity: for ideals J_1..J_p in the
-    first two variables and exponents a_1 < ... < a_p of the third variable,
-
-        z^a1*J_1 + ... + z^ap*J_p
-          = z^a1 * ( (J_1 + (z^(a2-a1))) ∩ (J_1+J_2 + (z^(a3-a1))) ∩ ...
-                     ∩ (J_1+...+J_(p-1) + (z^(ap-a1))) ∩ (J_1+...+J_p) ).
-    """
-    p = len(J_list)
-    if p == 0 or len(a_list) != p:
-        raise ValueError("need as many exponents as ideals, at least one")
-    if list(a_list) != sorted(set(a_list)) or any(a < 0 for a in a_list):
-        raise ValueError("exponents must be strictly increasing and non-negative")
-    for J in J_list:
-        if any(e[2] != 0 for g in J.generators for e in g.terms):
-            raise ValueError("the input ideals must not involve the third variable")
-
-    def zpow(k: int) -> Poly:
-        return Poly.monomial((0, 0, k), 1)
-
-    lhs = ideal_sum(
-        *[
-            Ideal([zpow(a) * g for g in J.generators], nvars=3)
-            for J, a in zip(J_list, a_list)
-        ]
-    )
-    partial_sums = []
-    acc = []
-    for J in J_list:
-        acc = acc + list(J.generators)
-        partial_sums.append(list(acc))
-    factors = []
-    for k in range(p - 1):
-        factors.append(
-            Ideal(partial_sums[k] + [zpow(a_list[k + 1] - a_list[0])], nvars=3)
-        )
-    factors.append(Ideal(partial_sums[-1], nvars=3))
-    rhs_core = reduce(ideal_intersect, factors)
-    rhs = ideal_product(Ideal([zpow(a_list[0])], nvars=3), rhs_core)
-    return ideal_equal(lhs, rhs)
-
-
-def _is_monomial_ideal(I: Ideal) -> bool:
-    return all(len(g.terms) == 1 for g in I.groebner())
-
-
-def _oracle_inputs(c, Z, bound=ORACLE_DEGREE_BOUND, max_power=ORACLE_POWER_BOUND):
+def _oracle_inputs(c, Z):
     """Homogeneous test forms as primitive integer polynomials: all monomials
     up to the degree bound, times powers F^a of the curve form in case B,
     each product a monomial shift of the integer F^a.  In case A, also each
@@ -100,12 +49,12 @@ def _oracle_inputs(c, Z, bound=ORACLE_DEGREE_BOUND, max_power=ORACLE_POWER_BOUND
     powers = [{(0, 0, 0): 1}]
     if c.kind == "B":
         F = _int_from_poly(c.curve_form, GREVLEX.key)
-        while len(powers) <= max_power and len(powers) * c.d <= bound:
+        while len(powers) <= min(ORACLE_POWER_BOUND, ORACLE_DEGREE_BOUND // c.d):
             powers.append(_int_mul(powers[-1], F))
     forms = [
         {tuple(map(add, e, m)): v for e, v in Fa.items()}
         for a, Fa in enumerate(powers)
-        for t in range(bound - a * c.d + 1)
+        for t in range(ORACLE_DEGREE_BOUND - a * c.d + 1)
         for m in monomials_of_degree(t)
     ]
     if c.kind == "A":
@@ -113,7 +62,7 @@ def _oracle_inputs(c, Z, bound=ORACLE_DEGREE_BOUND, max_power=ORACLE_POWER_BOUND
             if len(F) == 1:
                 continue
             forms.append(F)
-            for k in range(1, bound - c.d + 1):
+            for k in range(1, ORACLE_DEGREE_BOUND - c.d + 1):
                 for shift in ((k, 0, 0), (0, k, 0), (0, 0, k)):
                     forms.append({tuple(map(add, e, shift)): v for e, v in F.items()})
     return forms
@@ -133,8 +82,8 @@ def cross_check(Z: PointSet, lam_grid) -> CrossCheckReport:
     memo: dict = {}  # one memo for the grid, so each exponent is assembled once
     assembled = {lam: _lookup(c, Z, _capped(lam), memo).ideal for lam in grid}
 
-    if _is_monomial_ideal(IZ):
-        gens = [g for g in IZ.groebner()]
+    gens = IZ.groebner()
+    if all(len(g.terms) == 1 for g in gens):
         bad = [
             str(lam)
             for lam in grid

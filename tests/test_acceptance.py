@@ -3,7 +3,6 @@ exact tolerance (literal equality of rationals and reduced Groebner bases)
 and prints a single PASS/FAIL line (visible with pytest -s)."""
 
 import math
-import random
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -33,7 +32,6 @@ from lct3 import (
     multiplier_ideal,
     power_of_m,
     symbolic_power,
-    verify_chart_identity,
     zero_dim_report,
 )
 from lct3.points import expected_interpolation_data
@@ -116,7 +114,7 @@ def test_criterion_5_valuation_oracle(three_collinear, six_on_conic):
     with criterion(5, "valuation oracle equivalence"):
         for Z in (three_collinear, six_on_conic):
             c = classify(Z)
-            forms = [Poly(G, 3) for G in _oracle_inputs(c, Z, bound=8, max_power=3)]
+            forms = [Poly(G, 3) for G in _oracle_inputs(c, Z)]
             for lam in jump_candidates(c, 3):
                 if lam >= 3:
                     continue
@@ -175,19 +173,6 @@ def test_criterion_6_property_suite(supported_arrangements):
 
             assert ideal_equal(symbolic_power(Z, 1), I), name
             assert symbolic_power(Z, 2).contains_ideal(ideal_power(I, 2)), name
-
-        rng = random.Random(424242)
-        for _ in range(50):
-            p = rng.randint(1, 3)
-            ideals = []
-            for _ in range(p):
-                gens = [
-                    Poly.monomial((rng.randint(0, 4), rng.randint(0, 4), 0), 1)
-                    for _ in range(rng.randint(1, 3))
-                ]
-                ideals.append(Ideal(gens, nvars=3))
-            exponents = sorted(rng.sample(range(5), p))
-            assert verify_chart_identity(ideals, exponents)
 
 
 def _closed_form_two_to_three(c, Z, lam):

@@ -115,6 +115,19 @@ def test_mi_unsupported_exits_3(tmp_path, capsys):
     assert "different dimensions" in err
 
 
+def test_general_set_with_a_collinear_triple_is_unsupported(tmp_path, capsys):
+    # general_points(5, 1495) has three points on a line (test_points)
+    reason = "intermediate envelope is a singular curve"
+    path = write(tmp_path, {"generator": {"general": 5, "seed": 1495}})
+    code, doc, err = run(capsys, ["mi", path, "--lambda", "1"])
+    assert (code, doc) == (3, None)
+    assert err == f"lct3: unsupported arrangement: {reason}\n"
+    code, doc, _ = run(capsys, ["classify", path])
+    assert code == 0
+    assert doc["classification"]["variant"] == "Unsupported"
+    assert doc["classification"]["reason"] == reason
+
+
 def test_lct_values(tmp_path, capsys):
     for doc_in, expected in [(COORD, "3/2"), (COLLINEAR, "5/3"), (CONIC6, "4/3")]:
         code, doc, _ = run(capsys, ["lct", write(tmp_path, doc_in)])

@@ -163,19 +163,43 @@ def composed(f: Poly, h) -> Poly:
     return out
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_case_c_is_invariant_under_integer_changes_of_coordinates(seed, eight_general):
+def assert_moves_with_coordinates(Z_, kind, lam_max, lams, seed):
     # Z -> g Z moves each form f through Z to f o g^-1 through g Z, and the
-    # multiplier ideals with it: the jumps up to 3 stay, and J(5/2) of g Z is
-    # J(5/2) of Z moved
+    # multiplier ideals with it: the jumps up to lam_max stay, and J(lam) of
+    # g Z is J(lam) of Z moved, for each lam of lams
     g = unimodular(random.Random(seed))
     identity = [[int(i == j) for j in range(3)] for i in range(3)]
     assert [[sum(map(mul, r, col)) for col in zip(*inverse(g))] for r in g] == identity
-    moved = transformed(eight_general, g)
-    c, c_moved = classify(eight_general), classify(moved)
-    assert c.kind == c_moved.kind == "C"
-    jumps = [lam for lam, _ in jumping_numbers(c, eight_general, 3).jumps]
-    assert [lam for lam, _ in jumping_numbers(c_moved, moved, 3).jumps] == jumps
-    J = multiplier_ideal(c, eight_general, Fraction(5, 2)).ideal
-    expected = Ideal([composed(f, inverse(g)) for f in J.generators], nvars=3)
-    assert ideal_equal(multiplier_ideal(c_moved, moved, Fraction(5, 2)).ideal, expected)
+    moved = transformed(Z_, g)
+    c, c_moved = classify(Z_), classify(moved)
+    assert c.kind == c_moved.kind == kind
+    jumps = [lam for lam, _ in jumping_numbers(c, Z_, lam_max).jumps]
+    assert [lam for lam, _ in jumping_numbers(c_moved, moved, lam_max).jumps] == jumps
+    for lam in lams:
+        J = multiplier_ideal(c, Z_, lam).ideal
+        expected = Ideal([composed(f, inverse(g)) for f in J.generators], nvars=3)
+        assert ideal_equal(multiplier_ideal(c_moved, moved, lam).ideal, expected), lam
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_case_c_is_invariant_under_integer_changes_of_coordinates(seed, eight_general):
+    assert_moves_with_coordinates(eight_general, "C", 3, [Fraction(5, 2)], seed)
+
+
+# (kind, lam_max, lams) per set; above 3 on the small special sets only, as
+# J(7/2) on a general set takes seconds
+MOVED_RANGES = {
+    "coordinate_points": ("A", 4, [Fraction(5, 2), Fraction(7, 2)]),
+    "three_collinear": ("B", 4, [Fraction(5, 2), Fraction(7, 2)]),
+    "six_on_conic": ("B", 4, [Fraction(5, 2), Fraction(7, 2)]),
+    "six_general": ("A", 3, [Fraction(5, 2)]),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("fixture", MOVED_RANGES)
+def test_cases_a_and_b_are_invariant_under_integer_changes_of_coordinates(
+    request, fixture, seed
+):
+    Z_ = request.getfixturevalue(fixture)
+    assert_moves_with_coordinates(Z_, *MOVED_RANGES[fixture], seed)

@@ -1,7 +1,7 @@
 import math
 import random
 from functools import reduce
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -138,6 +138,23 @@ def test_interpolation_dimension_for_random_sets():
 def test_general_points_deterministic():
     assert general_points(7, 123) == general_points(7, 123)
     assert is_rank_general(general_points(9, 77))
+
+
+def test_general_points_may_hold_a_collinear_triple():
+    # general_points checks rank generality only.  Seed 1495 is the first in
+    # 1..1495 whose five points hold three on a line; the one conic through
+    # them is then a line pair, so classify reports the set unsupported.
+    Z_ = general_points(5, 1495)
+    assert is_rank_general(Z_)
+
+    def collinear(p, q, r):
+        (a, b, c), (d, e, f), (g, h, i) = p.coords, q.coords, r.coords
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) == 0
+
+    assert any(collinear(*triple) for triple in combinations(Z_, 3))
+    c = classify(Z_)
+    assert not c.is_supported()
+    assert c.reason == "intermediate envelope is a singular curve"
 
 
 def reference_ideal_of_points(Z_):

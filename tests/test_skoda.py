@@ -246,6 +246,8 @@ def test_floor_keeps_the_skoda_basis_of_a_case_c_set(eight_general):
 # coefficients of multiplier ideals", Duke 2004, Prop. 1.12): I_Z has
 # analytic spread at most 3, so xi > 2 is a jump iff xi + 1 is.  A scan to
 # lam_max sees xi + 1 only for xi <= lam_max - 1, and xi - 1 only for xi > 3.
+# The scan records a jump wherever J differs from just below; that each jump
+# is a shrink is proved in its docstring and checked here.
 @pytest.mark.parametrize(
     "fixture, lam_max",
     [
@@ -258,6 +260,11 @@ def test_floor_keeps_the_skoda_basis_of_a_case_c_set(eight_general):
 )
 def test_jumps_above_two_are_periodic(request, fixture, lam_max):
     Z = request.getfixturevalue(fixture)
-    jumps = {xi for xi, _ in jumping_numbers(classify(Z), Z, lam_max).jumps}
+    c = classify(Z)
+    table = jumping_numbers(c, Z, lam_max)
+    jumps = {xi for xi, _ in table.jumps}
     assert all(xi + 1 in jumps for xi in jumps if 2 < xi <= lam_max - 1), jumps
     assert all(xi - 1 in jumps for xi in jumps if xi > 3), jumps
+    chain = [multiplier_ideal(c, Z, 0).ideal] + [J for _, J in table.jumps]
+    for (lam, _), larger, J in zip(table.jumps, chain, chain[1:]):
+        assert larger.contains_ideal(J), (fixture, lam)

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -6,60 +5,19 @@ from hypothesis import assume, given, settings, strategies as st
 from test_points import general_point_sets, special_point_sets
 
 from lct3 import (
-    Ideal,
-    Poly,
+    X,
     classify,
     cross_check,
     ideal_product,
     maximal_ideal,
     multiplier_ideal,
     unit_ideal,
-    verify_chart_identity,
-    variables,
 )
 from lct3 import ideals, multiplier, verify
 from lct3.points import hilbert_pieces
 from lct3.polynomials import monomials_of_degree
 
 F = Fraction
-
-U, V, W = variables(3)  # W is the distinguished third variable
-
-
-def test_single_ideal_identity():
-    assert verify_chart_identity([Ideal([U * V])], [1])
-
-
-def test_two_principal_ideals():
-    # (u, z^2 v) = (u, z^2) ∩ (u, v)
-    assert verify_chart_identity([Ideal([U]), Ideal([V])], [0, 2])
-
-
-def test_rejects_bad_exponents():
-    with pytest.raises(ValueError):
-        verify_chart_identity([Ideal([U]), Ideal([V])], [2, 2])
-
-
-def test_rejects_third_variable_in_inputs():
-    with pytest.raises(ValueError):
-        verify_chart_identity([Ideal([W])], [1])
-
-
-def _random_plane_monomial_ideal(rng):
-    gens = []
-    for _ in range(rng.randint(1, 3)):
-        e = (rng.randint(0, 4), rng.randint(0, 4), 0)
-        gens.append(Poly.monomial(e, 1))
-    return Ideal(gens, nvars=3)
-
-
-def test_chart_identity_randomized():
-    rng = random.Random(2718)
-    for _ in range(50):
-        p = rng.randint(1, 3)
-        ideals = [_random_plane_monomial_ideal(rng) for _ in range(p)]
-        exponents = sorted(rng.sample(range(5), p))
-        assert verify_chart_identity(ideals, exponents)
 
 
 def test_cross_check_coordinate_axes(coordinate_points):
@@ -251,7 +209,7 @@ def test_valuation_witness_in_case_a_is_that_of_the_normal_forms(
     assert not report.ok and not entry.passed
     c = classify(six_general)
     assert (c.kind, c.d) == ("A", 3)
-    witness = U**2 * hilbert_pieces(six_general)[3].basis[0]
+    witness = X**2 * hilbert_pieces(six_general)[3].basis[0]
     J = multiplier_ideal(c, six_general, F(5, 2)).ideal
     assert J.contains(witness)
     assert not ideal_product(J, maximal_ideal()).contains(witness)
