@@ -373,14 +373,14 @@ def _exact_quotient(h: IntPoly, g: IntPoly, lead):
     return quot
 
 
-def _echelon_piece(basis, t: int, nvars: int):
-    """(monos, standard, reduced) for the degree-t piece J_t of a
-    homogeneous ideal with reduced grevlex basis `basis`: the degree-t
-    monomials, descending, the standard ones, and the reduced echelon basis
-    of J_t as (rows, pivots), or None where the monomials that are not
-    standard span J_t.  Its Macaulay rows, one shift of a basis element per
-    initial monomial, have distinct leading monomials, so each needs only
-    the rows below it, already reduced, as echelon's fixed pivots."""
+def _macaulay_rows(basis, t: int, nvars: int):
+    """(monos, standard, rows) for the degree-t piece J_t of a homogeneous
+    ideal with reduced grevlex basis `basis`: the degree-t monomials,
+    descending, the standard ones, and J_t's Macaulay rows, one shift of a
+    basis element per initial monomial m, as (index of m, form), in the
+    order of monos; rows is None where the monomials that are not standard
+    span J_t.  The rows have distinct leading monomials, so they are a basis
+    of J_t: its dimension is the number of initial monomials."""
     monos = monomials_of_degree(t, nvars)
     index = {m: k for k, m in enumerate(monos)}
     rows, standard = [], []
@@ -393,6 +393,15 @@ def _echelon_piece(basis, t: int, nvars: int):
         rows.append((index[m], {tuple(map(add, e, shift)): c for e, c in found[1].items()}))
     if not standard or all(len(r) == 1 for _, r in rows):
         return monos, standard, None
+    return monos, standard, rows
+
+
+def _eliminated(monos, rows):
+    """The reduced echelon basis (rows, pivots) of Macaulay rows
+    (_macaulay_rows) over the monomials monos.  Their leading monomials
+    differ, so each row needs only the rows below it, already reduced, as
+    echelon's fixed pivots."""
+    index = {m: k for k, m in enumerate(monos)}
     reducers = []
     for k, r in reversed(rows):
         row = [0] * len(monos)
@@ -400,22 +409,47 @@ def _echelon_piece(basis, t: int, nvars: int):
             row[index[e]] = c
         reducers.append((k, echelon([row], (k,), reducers=reducers)[0][0]))
     pivots, reduced = zip(*reversed(reducers))
-    return monos, standard, (reduced, pivots)
+    return reduced, pivots
 
 
-def _dual_basis(basis, t: int, nvars: int) -> dict:
-    """The orthogonal complement of J_t (_echelon_piece) as primitive
+def _pairs_to_zero(p: IntPoly, touched) -> bool:
+    """Does the form p pair to zero with every vector of a dual basis,
+    given transposed as in _dual_basis?  A monomial does iff no vector
+    touches it."""
+    if len(p) == 1:
+        return next(iter(p)) not in touched
+    pairings: dict = {}
+    for e, c in p.items():
+        for i, v in touched.get(e, ()):
+            pairings[i] = pairings.get(i, 0) + c * v
+    return not any(pairings.values())
+
+
+def _dual_basis(basis, t: int, nvars: int, store: dict) -> dict:
+    """The orthogonal complement of J_t (_macaulay_rows) as primitive
     integer vectors, one per standard monomial (linalg.integer_kernel): a
     form of degree t lies in J iff it pairs to 0 with each.  Returned
     transposed: each monomial that some vector touches, mapped to its
-    (vector index, entry) pairs."""
-    monos, standard, reduced = _echelon_piece(basis, t, nvars)
-    if reduced is None:
+    (vector index, entry) pairs.
+
+    store maps the standard monomials of each piece eliminated so far, which
+    fix its degree, to their dual bases, and takes this one if it is
+    eliminated.  A stored one is reused when J_t's rows all pair to zero
+    with it, which proves the two pieces equal: the rows span J_t, so J_t
+    lies in the stored piece, and the same standard monomials give both the
+    same dimension.  The proof reads only J's own rows."""
+    monos, standard, rows = _macaulay_rows(basis, t, nvars)
+    if rows is None:
         return {m: ((i, 1),) for i, m in enumerate(standard)}
+    known = store.setdefault(tuple(standard), [])
+    for touched in known:
+        if all(_pairs_to_zero(r, touched) for _, r in rows):
+            return touched
     touched: dict = {}
-    for i, (_, vec) in enumerate(integer_kernel(*reduced, len(monos))):
+    for i, (_, vec) in enumerate(integer_kernel(*_eliminated(monos, rows), len(monos))):
         for j, v in vec.items():
             touched.setdefault(monos[j], []).append((i, v))
+    known.append(touched)
     return touched
 
 
@@ -547,13 +581,16 @@ class Ideal:
         """Membership of an integer polynomial: its normal form is zero."""
         return not p or self.is_unit() or not _nf(p, self._int_basis(), GREVLEX)
 
-    def _holds_each(self, forms):
+    def _holds_each(self, forms, store: dict):
         """Membership of each homogeneous integer polynomial, yielded in the
         order given, in this ideal, which must be homogeneous.  The forms of
         one degree share one _dual_basis, built when the first of them
         comes, so a caller that stops early builds no more.  This pays for
         many forms of low degree; a single form, or a few of high degree,
-        is cheaper as one normal form (_holds)."""
+        is cheaper as one normal form (_holds).  The dual bases eliminated
+        go to store (_dual_basis); a caller that tests several ideals passes
+        one store to all of them, so that an equal piece is eliminated
+        once."""
         basis = self._int_basis()
         if not all(_is_homogeneous(g) for _, g in basis):
             raise ValueError("batched membership needs a homogeneous ideal")
@@ -564,19 +601,11 @@ class Ideal:
                 continue
             if len(p) > 1 and not _is_homogeneous(p):
                 raise ValueError("batched membership needs homogeneous forms")
-            first = next(iter(p))
-            t = sum(first)
+            t = sum(next(iter(p)))
             touched = duals.get(t)
             if touched is None:
-                touched = duals[t] = _dual_basis(basis, t, self.nvars)
-            if len(p) == 1:  # a monomial pairs to 0 with every vector not touching it
-                yield first not in touched
-                continue
-            pairings: dict = {}
-            for e, c in p.items():
-                for i, v in touched.get(e, ()):
-                    pairings[i] = pairings.get(i, 0) + c * v
-            yield not any(pairings.values())
+                touched = duals[t] = _dual_basis(basis, t, self.nvars, store)
+            yield _pairs_to_zero(p, touched)
 
     def contains_ideal(self, other: "Ideal") -> bool:
         """Any generating set of other decides, so this starts no Groebner
@@ -668,14 +697,14 @@ def truncation(J: Ideal, k: int) -> Ideal:
     if not all(_is_homogeneous(g) for _, g in basis):
         raise ValueError("truncation needs a homogeneous ideal")
     k = max(k, 0)
-    monos, standard, reduced = _echelon_piece(basis, k, J.nvars)
-    if reduced is None:
+    monos, standard, rows = _macaulay_rows(basis, k, J.nvars)
+    if rows is None:
         standard = set(standard)
         piece = [(m, {m: 1}) for m in monos if m not in standard]
     else:
         piece = [
             (monos[p], _normalize({monos[j]: v for j, v in enumerate(r) if v}, monos[p]))
-            for r, p in zip(*reduced)
+            for r, p in zip(*_eliminated(monos, rows))
         ]
     return Ideal._from_basis([b for b in basis if sum(b[0]) > k] + piece, J.nvars)
 

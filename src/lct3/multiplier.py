@@ -254,21 +254,36 @@ def membership_by_valuation(
     Both cases additionally require order floor(lam) - 1 along each line,
     which below 3 means, from lam = 2 on, that G vanishes on Z.
     """
-    return _valuation_memberships(c, Z, [_int_from_poly(G, GREVLEX.key)], [lam])[0][0]
+    G = _int_from_poly(G, GREVLEX.key)
+    return _valuation_memberships(c, Z, [(G, _curve_order(c, G))], [lam])[0][0]
+
+
+def _curve_order(c: Classification, G) -> int:
+    """How often the curve form F divides the integer form G in Case B, by
+    exact integer division; 0 in the other cases and for G = 0."""
+    a = 0
+    if c.kind == "B" and G:
+        F = _int_from_poly(c.curve_form, GREVLEX.key)
+        lead = max(F, key=GREVLEX.key)
+        while (G := _exact_quotient(G, F, lead)) is not None:
+            a += 1
+    return a
 
 
 def _valuation_memberships(c: Classification, Z: PointSet, forms, lams) -> list:
     """membership_by_valuation at each exponent of lams, for each form of
-    forms given as a primitive integer polynomial (ideals._int_from_poly).
-    The floor bounds of each exponent are computed once per call, and what
-    does not depend on lam once per form: the F-adic factorization (Case
-    B), by exact integer division, and, once some exponent from 2 on passes
-    its degree test, whether the form vanishes at the points, scaled to
-    integers as in points.evaluation_matrix.  No Groebner basis is used."""
+    forms given as a pair (G, a): G a primitive integer polynomial
+    (ideals._int_from_poly) and a the number of times the curve form divides
+    it in Case B (0 in Case A), which the caller knows from how it built G
+    or finds by division (_curve_order).  The floor bounds of each exponent
+    are computed once per call, and, once some exponent from 2 on passes its
+    degree test, whether the form vanishes at the points, scaled to integers
+    as in points.evaluation_matrix, once per form.  No Groebner basis is
+    used."""
     lams = [as_lambda(lam) for lam in lams]
     if any(lam >= 3 for lam in lams):
         raise ValueError("valuation test only covers exponents below 3")
-    if not all(G and _is_homogeneous(G) for G in forms):
+    if not all(G and _is_homogeneous(G) for G, _ in forms):
         raise ValueError("expected a nonzero homogeneous form")
     _require_supported(c)
     if c.kind == "C":
@@ -276,9 +291,6 @@ def _valuation_memberships(c: Classification, Z: PointSet, forms, lams) -> list:
     # Case A is the single test j = 0 with a = 0
     d = c.d
     e = c.e if c.kind == "B" else d
-    if c.kind == "B":
-        F = _int_from_poly(c.curve_form, GREVLEX.key)
-        lead = max(F, key=GREVLEX.key)
     # per exponent: whether it needs G on Z (order floor(lam) - 1 = 1, the
     # only positive one below 3), and the (d + j, bound) of each floor term
     tests = [
@@ -290,14 +302,8 @@ def _valuation_memberships(c: Classification, Z: PointSet, forms, lams) -> list:
     ]
     points = [integral_coords(p) for p in Z]
     out = []
-    for G in forms:
-        H, a = G, 0
-        while c.kind == "B":
-            q = _exact_quotient(H, F, lead)
-            if q is None:
-                break
-            H, a = q, a + 1
-        degH = sum(next(iter(H)))
+    for G, a in forms:
+        degH = sum(next(iter(G))) - a * d  # deg H for G = H * F^a
         on_Z = None
         answers = []
         for needs_Z, floors in tests:

@@ -10,8 +10,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from operator import sub
 
-from .ideals import Ideal, _divides
+from .ideals import Ideal
 from .multiplier import as_lambda
 from .polynomials import Poly, grevlex_key
 
@@ -40,11 +41,13 @@ class NewtonPolyhedron:
     exponent_points: tuple
     facet_inequalities: tuple  # of (normal triple, offset)
 
-    def strictly_inside(self, v, scale=Fraction(1)) -> bool:
-        """Is v in the topological interior of scale * polyhedron?"""
-        return all(
-            _dot(n, v) > scale * c for n, c in self.facet_inequalities
-        )
+    def strictly_inside(self, v, scale=1) -> bool:
+        """Is v in the topological interior of scale * polyhedron?  For
+        scale = num/den in lowest terms, <n, v> > scale * c at each facet is
+        den<n, v> > num*c, decided in integers."""
+        scale = Fraction(scale)
+        num, den = scale.numerator, scale.denominator
+        return all(den * _dot(n, v) > num * c for n, c in self.facet_inequalities)
 
 
 def newton_polyhedron(exponents) -> NewtonPolyhedron:
@@ -93,11 +96,21 @@ def monomial_mi(generators, lam) -> Ideal:
             exps.append(tuple(g))
     poly = newton_polyhedron(exps)
     bound = math.ceil(lam * max(k for p in poly.exponent_points for k in p)) + 3
-    found = []
-    shift = (1, 1, 1)
-    for v in product(range(bound + 1), repeat=3):
-        if poly.strictly_inside(tuple(a + s for a, s in zip(v, shift)), lam):
-            found.append(v)
-    minimal = [v for v in found if not any(w != v and _divides(w, v) for w in found)]
+    num, den = lam.numerator, lam.denominator
+    # x^v is in J iff v + (1, 1, 1) is strictly inside lam * polyhedron:
+    # den<n, v> + den<n, (1, 1, 1)> > num*c at each facet, as in
+    # strictly_inside
+    facets = [
+        (den * a, den * b, den * c, num * k - den * (a + b + c))
+        for (a, b, c), k in poly.facet_inequalities
+    ]
+    found = {
+        v
+        for v in product(range(bound + 1), repeat=3)
+        if all(a * v[0] + b * v[1] + c * v[2] > k for a, b, c, k in facets)
+    }
+    # the normals are non-negative, so found is closed upward in the box:
+    # v is a minimal exponent iff no v - e_i is in it
+    minimal = [v for v in found if not any(tuple(map(sub, v, e)) in found for e in _AXES)]
     minimal.sort(key=grevlex_key, reverse=True)
     return Ideal._from_basis([(e, {e: 1}) for e in minimal], 3)

@@ -39,20 +39,30 @@ class CrossCheckReport:
 
 
 def _oracle_inputs(c, Z):
-    """Homogeneous test forms as primitive integer polynomials: all monomials
-    up to the degree bound, times powers F^a of the curve form in case B,
-    each product a monomial shift of the integer F^a.  In case A, also each
-    form F of the piece (I_Z)_d that is not a monomial, and its shifts by
-    x^k, y^k and z^k up to the degree bound: on a set with no point on a
-    coordinate line no monomial vanishes on Z, and these forms test the
-    degree bound of J where it meets I_Z."""
+    """Homogeneous test forms as pairs (G, a): G a primitive integer
+    polynomial and a the number of times the curve form F divides it (0 in
+    case A).  They are all monomials up to the degree bound, times powers F^a
+    in case B, each product m * F^a a monomial shift of the integer F^a.
+    F divides m * F^a exactly a + ord_F(m) times, and the divisors of a
+    monomial are monomials: ord_F(m) is 0 unless F is a monomial x^f, and
+    then the least floor(m_i / f_i) over f_i > 0.  So no form is divided.
+    In case A, also each form F of the piece (I_Z)_d that is not a monomial,
+    and its shifts by x^k, y^k and z^k up to the degree bound: on a set with
+    no point on a coordinate line no monomial vanishes on Z, and these forms
+    test the degree bound of J where it meets I_Z."""
     powers = [{(0, 0, 0): 1}]
+    f = None  # the exponent of F where F is a monomial
     if c.kind == "B":
         F = _int_from_poly(c.curve_form, GREVLEX.key)
         while len(powers) <= min(ORACLE_POWER_BOUND, ORACLE_DEGREE_BOUND // c.d):
             powers.append(_int_mul(powers[-1], F))
+        if len(F) == 1:
+            (f,) = F
     forms = [
-        {tuple(map(add, e, m)): v for e, v in Fa.items()}
+        (
+            {tuple(map(add, e, m)): v for e, v in Fa.items()},
+            a + (min(k // j for k, j in zip(m, f) if j) if f else 0),
+        )
         for a, Fa in enumerate(powers)
         for t in range(ORACLE_DEGREE_BOUND - a * c.d + 1)
         for m in monomials_of_degree(t)
@@ -61,10 +71,10 @@ def _oracle_inputs(c, Z):
         for _, F in hilbert_pieces(Z)[c.d].forms:
             if len(F) == 1:
                 continue
-            forms.append(F)
+            forms.append((F, 0))
             for k in range(1, ORACLE_DEGREE_BOUND - c.d + 1):
                 for shift in ((k, 0, 0), (0, k, 0), (0, 0, k)):
-                    forms.append({tuple(map(add, e, shift)): v for e, v in F.items()})
+                    forms.append(({tuple(map(add, e, shift)): v for e, v in F.items()}, 0))
     return forms
 
 
@@ -98,15 +108,17 @@ def cross_check(Z: PointSet, lam_grid) -> CrossCheckReport:
         )
 
     if c.kind in ("A", "B"):
-        forms = _oracle_inputs(c, Z)
+        pairs = _oracle_inputs(c, Z)
+        forms = [G for G, _ in pairs]
         lams = [lam for lam in grid if lam < 3]
-        # each form factored once, and evaluated at the points at most once
-        oracle = _valuation_memberships(c, Z, forms, lams) if lams else []
+        # each form evaluated at the points at most once
+        oracle = _valuation_memberships(c, Z, pairs, lams) if lams else []
         witness = None
+        store: dict = {}  # the grid's exponents often share a piece
         for i, lam in enumerate(lams):
             # the forms are many and of degree <= 8, so J decides them from
             # one dual basis per degree, from its own Groebner basis
-            members = assembled[lam]._holds_each(forms)
+            members = assembled[lam]._holds_each(forms, store)
             for G, answers, member in zip(forms, oracle, members):
                 if answers[i] != member:
                     # the monic form, m * F^a with the monic curve form

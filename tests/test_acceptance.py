@@ -114,7 +114,7 @@ def test_criterion_5_valuation_oracle(three_collinear, six_on_conic):
     with criterion(5, "valuation oracle equivalence"):
         for Z in (three_collinear, six_on_conic):
             c = classify(Z)
-            forms = [Poly(G, 3) for G in _oracle_inputs(c, Z)]
+            forms = [Poly(G, 3) for G, _ in _oracle_inputs(c, Z)]
             for lam in jump_candidates(c, 3):
                 if lam >= 3:
                     continue

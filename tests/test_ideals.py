@@ -37,7 +37,8 @@ from lct3 import (
     variables,
     zero_ideal,
 )
-from lct3.ideals import _autoreduce, _divides, _nf, _spoly
+from lct3 import ideals
+from lct3.ideals import _autoreduce, _divides, _int_from_poly, _nf, _spoly
 
 
 def gens(I):
@@ -87,15 +88,40 @@ def test_batched_membership_basics():
     # the monomial basis, the unit ideal and a binomial one, whose degree-2
     # and degree-3 pieces take an echelon pass
     forms = [{}, {(1, 1, 0): 2}, {(2, 0, 0): 1}, {(2, 0, 0): 1, (0, 1, 1): -1}]
-    assert list(Ideal([X * Y, Y * Z])._holds_each(forms)) == [True, True, False, False]
-    assert list(unit_ideal()._holds_each(forms)) == [True] * 4
+    assert list(Ideal([X * Y, Y * Z])._holds_each(forms, {})) == [True, True, False, False]
+    assert list(unit_ideal()._holds_each(forms, {})) == [True] * 4
     conic = Ideal([X * X - Y * Z])
     forms.append({(3, 0, 0): 3, (1, 1, 1): -3})
-    assert list(conic._holds_each(forms)) == [True, False, False, True, True]
+    assert list(conic._holds_each(forms, {})) == [True, False, False, True, True]
     with pytest.raises(ValueError, match="homogeneous forms"):
-        list(conic._holds_each([{(1, 0, 0): 1, (0, 0, 0): 1}]))
+        list(conic._holds_each([{(1, 0, 0): 1, (0, 0, 0): 1}], {}))
     with pytest.raises(ValueError, match="homogeneous ideal"):
-        list(Ideal([X + Y * Y])._holds_each([{(1, 0, 0): 1}]))
+        list(Ideal([X + Y * Y])._holds_each([{(1, 0, 0): 1}], {}))
+
+
+def test_shared_dual_bases_are_reused_only_for_equal_pieces(monkeypatch):
+    # (x^2 + yz) and (x^2 + y^2) have the same standard monomials in degrees
+    # 2 and 3 but different pieces, so the second must not answer from the
+    # first's dual bases; (x^2 + yz, y^3) has the first's piece in degree 2
+    # and reuses its dual basis there, but not in degree 3, where y^3 is a new
+    # initial monomial
+    eliminated = []
+    kernel = ideals.integer_kernel
+
+    def counted(reduced, pivots, ncols):
+        eliminated.append(ncols)
+        return kernel(reduced, pivots, ncols)
+
+    monkeypatch.setattr(ideals, "integer_kernel", counted)
+    polys = [X * X + Y * Z, X * X + Y * Y, Y * Y - Y * Z, X * X - Y * Z]
+    polys += [X * p for p in polys] + [Y * p for p in polys] + [Y**3 + X * Y * Z]
+    forms = [{m: 1} for t in (2, 3) for m in monomials_of_degree(t)]
+    forms += [_int_from_poly(p, GREVLEX.key) for p in polys]
+    store = {}
+    for J in (Ideal([X * X + Y * Z]), Ideal([X * X + Y * Y]), Ideal([X * X + Y * Z, Y**3])):
+        assert list(J._holds_each(forms, store)) == [J._holds(G) for G in forms]
+    assert eliminated == [6, 10, 6, 10, 10]
+    assert sorted(map(len, store.values())) == [1, 2, 2]
 
 
 def test_sum_product_power():

@@ -23,7 +23,7 @@ from lct3 import (
 )
 from lct3 import GREVLEX, PointSet, general_points, monomials_of_degree
 from lct3.ideals import _int_from_poly
-from lct3.multiplier import _require_supported, _valuation_memberships
+from lct3.multiplier import _curve_order, _require_supported, _valuation_memberships
 from lct3.verify import _oracle_inputs
 
 F = Fraction
@@ -233,8 +233,10 @@ def reference_membership_by_valuation(c, Z_, G, lam):
 
 
 def memberships(c, Z_, G, lams):
-    """_valuation_memberships of the one form G, given as a Poly."""
-    return _valuation_memberships(c, Z_, [_int_from_poly(G, GREVLEX.key)], lams)[0]
+    """_valuation_memberships of the one form G, given as a Poly, with its
+    curve order found by division."""
+    G = _int_from_poly(G, GREVLEX.key)
+    return _valuation_memberships(c, Z_, [(G, _curve_order(c, G))], lams)[0]
 
 
 lambdas_below_3 = st.lists(
@@ -248,9 +250,15 @@ lambdas_below_3 = st.lists(
 
 def assert_oracle_matches_reference(c, Z_, data, lams):
     """_valuation_memberships against the reference on a sample of the
-    verify test forms plus random monomial * F^a forms."""
-    forms = [Poly(G, 3) for G in _oracle_inputs(c, Z_)]
-    sample = data.draw(st.lists(st.sampled_from(forms), max_size=12))
+    verify test forms, with the curve orders verify gives them, plus random
+    monomial * F^a forms."""
+    for G, a in data.draw(st.lists(st.sampled_from(_oracle_inputs(c, Z_)), max_size=12)):
+        assert a == _curve_order(c, G)
+        got = _valuation_memberships(c, Z_, [(G, a)], lams)[0]
+        want = [reference_membership_by_valuation(c, Z_, Poly(G, 3), lam) for lam in lams]
+        assert got == want, (str(Poly(G, 3)), lams)
+        assert got[:1] == [membership_by_valuation(c, Z_, Poly(G, 3), lams[0])]
+    sample = []
     for _ in range(data.draw(st.integers(0, 6))):
         t = data.draw(st.integers(0, 5))
         G = Poly.monomial(data.draw(st.sampled_from(monomials_of_degree(t))), 1)
@@ -262,6 +270,20 @@ def assert_oracle_matches_reference(c, Z_, data, lams):
         want = [reference_membership_by_valuation(c, Z_, G, lam) for lam in lams]
         assert got == want, (str(G), lams)
         assert got[:1] == [membership_by_valuation(c, Z_, G, lams[0])]
+
+
+def test_oracle_inputs_carry_their_curve_orders(
+    coordinate_points, three_collinear, six_on_conic
+):
+    # verify builds each Case B test form as m * F^a and states its F-adic
+    # order without dividing; the curve form of three collinear points is the
+    # monomial z, which divides m too
+    assert str(classify(three_collinear).curve_form) == "z"
+    for Z_ in (coordinate_points, three_collinear, six_on_conic):
+        c = classify(Z_)
+        pairs = _oracle_inputs(c, Z_)
+        assert [a for _, a in pairs] == [_curve_order(c, G) for G, _ in pairs]
+    assert max(a for _, a in _oracle_inputs(classify(three_collinear), three_collinear)) == 8
 
 
 # eight points on a smooth conic: Case B with (d, e) = (2, 4), so the

@@ -1,6 +1,9 @@
+import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lct3 import (
     classify,
@@ -70,3 +73,48 @@ def test_agrees_with_case_a_formula(coordinate_points):
     for lam in [F(1, 2), F(1), F(3, 2), F(2), F(5, 2), F(3)]:
         closed = multiplier_ideal(c, coordinate_points, lam).ideal
         assert ideal_equal(closed, monomial_mi(AXES, lam))
+
+
+def reference_monomial_mi(exponents, lam):
+    """The minimal exponents of monomial_mi by the definition: v + (1, 1, 1)
+    strictly inside lam * polyhedron, compared in Fractions, over the same
+    box, and the minimal ones by divisibility."""
+    poly = newton_polyhedron(exponents)
+    bound = math.ceil(lam * max(k for p in poly.exponent_points for k in p)) + 3
+    found = [
+        v
+        for v in product(range(bound + 1), repeat=3)
+        if all(
+            sum(a * (b + 1) for a, b in zip(n, v)) > lam * c
+            for n, c in poly.facet_inequalities
+        )
+    ]
+    return sorted(
+        v
+        for v in found
+        if not any(w != v and all(a <= b for a, b in zip(w, v)) for w in found)
+    )
+
+
+exponent_vectors = st.tuples(*[st.integers(0, 4)] * 3).filter(any)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    exponents=st.lists(exponent_vectors, min_size=1, max_size=4),
+    lam=st.builds(F, st.integers(0, 12), st.integers(1, 4)).filter(lambda l: l <= 3),
+    v=st.tuples(*[st.integers(0, 12)] * 3),
+)
+def test_integer_oracle_matches_the_fraction_definition(exponents, lam, v):
+    # monomial_mi decides the interior in integers and minimality by the
+    # up-set test; strictly_inside still takes a Fraction or an int scale
+    assert sorted(monomial_mi(exponents, lam).leading_exponents()) == (
+        reference_monomial_mi(exponents, lam)
+    )
+    poly = newton_polyhedron(exponents)
+    for scale in (lam, lam.numerator):
+        want = all(
+            sum(a * b for a, b in zip(n, v)) > scale * c
+            for n, c in poly.facet_inequalities
+        )
+        assert poly.strictly_inside(v, scale) == want

@@ -57,15 +57,18 @@ DEFAULT_GRID = [F(1, 2), F(1), F(3, 2), F(2), F(5, 2)]
 # grid after classify: exact integer divisions by the curve form; the
 # membership tests by normal form (Ideal._holds, which the public contains and
 # contains_ideal also call) that are left, those of monotonicity and power
-# containment; the dual bases built, one per exponent and degree 0..8 of the
-# test forms; and how many of these needed an echelon pass, the others being
-# degrees of monomial pieces or with no standard monomial.  The test forms were
-# decided by one normal form each until the assembled ideals answered them
-# from dual bases: 2145 and 1511 normal forms then (2567 and 1795 while the
-# oracle tested each form against the symbolic power; 7995/2995 and
-# 2060/2099 when both were redone at every exponent).  The counts may only
-# go down.
-GATE_ORACLE = {"three_collinear": (1617, 20, 45, 12), "six_on_conic": (478, 41, 45, 13)}
+# containment; the dual bases asked for, one per exponent and degree 0..8 of
+# the test forms; and how many of these needed an echelon pass, the others
+# being degrees of monomial pieces or with no standard monomial, or pieces
+# equal to one eliminated before on the grid.  The test forms were decided
+# by one normal form each until the assembled ideals answered them from dual
+# bases: 2145 and 1511 normal forms then (2567 and 1795 while the oracle
+# tested each form against the symbolic power; 7995/2995 and 2060/2099 when
+# both were redone at every exponent).  The oracle divided 1617 and 478 test
+# forms by the curve form until verify gave it their orders, and each
+# exponent eliminated its own pieces, 12 and 13 passes, until the grid shared
+# one store of dual bases.  The counts may only go down.
+GATE_ORACLE = {"three_collinear": (0, 20, 45, 6), "six_on_conic": (0, 41, 45, 8)}
 
 
 @pytest.mark.parametrize("name", sorted(GATE_ORACLE))
@@ -125,14 +128,16 @@ def random_forms(draw, basis):
 @given(Z_=st.one_of(general_point_sets, special_point_sets()), data=st.data())
 def test_batched_membership_is_the_normal_form_test(Z_, data):
     # J(lambda) over the default grid decides each verify test form, and
-    # random forms, from its dual bases exactly as by one normal form each
+    # random forms, from its dual bases exactly as by one normal form each,
+    # the grid sharing one store of dual bases as in cross_check
     c = classify(Z_)
     assume(c.is_supported())
-    memo = {}
+    memo, store = {}, {}
     for lam in DEFAULT_GRID:
         J = verify._lookup(c, Z_, lam, memo).ideal
-        forms = verify._oracle_inputs(c, Z_) + data.draw(random_forms(J._int_basis()))
-        assert list(J._holds_each(forms)) == [J._holds(G) for G in forms], lam
+        forms = [G for G, _ in verify._oracle_inputs(c, Z_)]
+        forms += data.draw(random_forms(J._int_basis()))
+        assert list(J._holds_each(forms, store)) == [J._holds(G) for G in forms], lam
 
 
 def test_cross_check_assembles_the_grid_on_one_memo(monkeypatch, five_general):
