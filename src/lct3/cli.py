@@ -5,6 +5,7 @@ as deterministic JSON documents (exact rationals serialized as strings)."""
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -248,7 +249,11 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by later ones:
+    parse_args reads it and returns a fresh namespace, so no option of one
+    call reaches the next."""
     parser = argparse.ArgumentParser(
         prog="lct3",
         description=(

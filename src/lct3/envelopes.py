@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
-from .ideals import Ideal, ideal_quotient, maximal_ideal, saturate
+from .ideals import Ideal, _int_from_poly, ideal_quotient, maximal_ideal, saturate
 from .linalg import echelon
 from .points import CACHE_SIZE, PointSet, graded_piece, hilbert_pieces, ideal_of_points
-from .polynomials import Poly, monomials_of_degree
-from .zerodim import hilbert_polynomial, zero_dim_report
+from .polynomials import GREVLEX, Poly, monomials_of_degree
+from .zerodim import TRACE_PRIME, hilbert_polynomial, zero_dim_report
 
 CURVE = "curve"
 FINITE_SCHEME = "finite-scheme"
@@ -119,30 +120,55 @@ def generator_degrees(Z: PointSet):
     for piece in hilbert_pieces(Z):
         if len(piece.forms) > _shifted_rank(prev_forms, piece.degree):
             out.append(piece.degree)
-        prev_forms = piece.forms
+        prev_forms = [f for _, f in piece.forms]
     return out
 
 
-def _shifted_rank(forms, d: int) -> int:
-    """Rank of {x*f, y*f, z*f : f in forms} inside the degree-d monomials,
-    forms given as (leading exponent, integer form) pairs."""
-    monos = monomials_of_degree(d)
-    shifts = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    rows = [
-        [f.get(tuple(a - b for a, b in zip(e, v)), 0) for e in monos]
-        for _, f in forms
-        for v in shifts
-    ]
-    return len(echelon(rows, range(len(monos)))[1])
+def _shifted_rank(forms, t: int, prime=None) -> int:
+    """Rank of the shifts m*f, m a monomial of degree t - deg f, of nonzero
+    integer forms f inside the degree-t monomials; given a prime, the rank
+    modulo it, a lower bound on the rank over Q."""
+    monos = monomials_of_degree(t)
+    index = {m: k for k, m in enumerate(monos)}
+    rows = []
+    for f in forms:
+        for m in monomials_of_degree(t - sum(next(iter(f)))):
+            row = [0] * len(monos)
+            for e, c in f.items():
+                row[index[tuple(map(add, e, m))]] = c
+            rows.append(row)
+    return len(echelon(rows, range(len(monos)), prime)[1])
 
 
 def is_smooth_plane_curve(F: Poly) -> bool:
-    """Is the plane curve {F = 0} smooth?  Smooth iff F and its partials
-    vanish together nowhere, i.e. their ideal has Hilbert polynomial 0."""
+    """Is the plane curve {F = 0} of degree d smooth?  One rank decides.
+
+    d*F = x*F_x + y*F_y + z*F_z (Euler), so F is singular exactly where its
+    partials vanish together, and F is smooth iff (F_x, F_y, F_z) is
+    m-primary, i.e. iff the three forms of degree d - 1 are a regular
+    sequence (S is Cohen-Macaulay).  For a regular sequence S/(F_x, F_y,
+    F_z) has Hilbert series (1 + s + ... + s^(d-2))^3, of top degree
+    3d - 6, so the partials fill the degree T = max(3d - 5, 0).  An ideal
+    that fills some degree contains a power of m, so an ideal that is not
+    m-primary fills none.  Hence F is smooth iff the Macaulay rows
+    mu*F_i, |mu| = T - d + 1, span the C(T + 2, 2) monomials of degree T.
+    Their rank is first taken modulo zerodim.TRACE_PRIME, which can only
+    lower it, so full rank there certifies; a rank short of full there is
+    taken again over Q."""
     if F.is_zero() or not F.is_homogeneous() or F.total_degree() < 1:
         raise ValueError("expected a nonzero homogeneous form of positive degree")
-    J = Ideal([F, F.diff(0), F.diff(1), F.diff(2)], nvars=3)
-    return hilbert_polynomial(J) == (0, 0)
+    T = max(3 * F.total_degree() - 5, 0)
+    G = _int_from_poly(F, GREVLEX.key)
+    partials = [
+        {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in G.items() if e[i]}
+        for i in range(3)
+    ]
+    partials = [p for p in partials if p]
+    full = (T + 1) * (T + 2) // 2
+    return (
+        _shifted_rank(partials, T, TRACE_PRIME) == full
+        or _shifted_rank(partials, T) == full
+    )
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -613,6 +613,8 @@ class Ideal:
         generators."""
         if other.nvars != self.nvars:
             raise ValueError("ideals live in different rings")
+        if other is self:
+            return True
         forms = other._ints if other._basis is None else (p for _, p in other._basis)
         return all(map(self._holds, forms))
 

@@ -1,10 +1,10 @@
 """Exact linear algebra over the rationals (dense, desk scale).
 
 Every rank, reduced row echelon form and kernel in lct3, and each degree of
-a homogeneous Groebner basis, comes from one fraction-free Gauss-Jordan
-elimination, `echelon` (Bareiss, Math. Comp. 1968), over the integers or
-modulo a prime.  Pivots taken left to right give the reduced row echelon
-form; right to left, the reduced kernel basis."""
+a homogeneous Groebner basis, comes from one Gauss-Jordan elimination,
+`echelon`: fraction-free over the integers (Bareiss, Math. Comp. 1968), or
+modulo a prime with pivots scaled to 1.  Pivots taken left to right give the
+reduced row echelon form; right to left, the reduced kernel basis."""
 
 from __future__ import annotations
 
@@ -13,31 +13,45 @@ from math import gcd, lcm
 
 
 def _primitive(row, prime):
-    # reduce first: a row that is zero mod p may have content divisible by p
+    """The row divided by its content or, given a prime, reduced modulo it."""
     if prime is not None:
-        row = [v % prime for v in row]
+        return [v % prime for v in row]
     g = gcd(*row)
     return [v // g for v in row] if g > 1 else row
 
 
+def _monic(row, c, prime):
+    """The row modulo the prime, scaled to 1 in column c."""
+    inverse = pow(row[c], -1, prime)
+    return [v * inverse % prime for v in row]
+
+
 def _clear(row, pivot, c, prime):
-    """a*row - b*pivot with the least a > 0 that makes it zero in column c.
-    Divided by its content when a > 1; with a = 1 no entry grows by a
-    factor, so over the integers the gcd is not worth its cost."""
+    """Modulo a prime, row - row[c]*pivot, the pivot being monic.  Over the
+    integers, a*row - b*pivot with the least a > 0 that makes it zero in
+    column c, divided by its content when a > 1; with a = 1 no entry grows
+    by a factor, so the gcd is not worth its cost."""
+    if prime is not None:
+        b = row[c]
+        return [(x - b * y) % prime for x, y in zip(row, pivot)]
     g = gcd(row[c], pivot[c])
     a, b = pivot[c] // g, row[c] // g
-    if a == 1 and prime is None:
+    if a == 1:
         return [x - b * y for x, y in zip(row, pivot)]
-    return _primitive([a * x - b * y for x, y in zip(row, pivot)], prime)
+    return _primitive([a * x - b * y for x, y in zip(row, pivot)], None)
 
 
 def echelon(rows, columns, prime=None, reducers=()):
-    """Gauss-Jordan elimination without division, over the integers or,
+    """Gauss-Jordan elimination, without division over the integers or,
     given a prime, modulo it.  Each rational row is first scaled by its
     common denominator; pivots are tried in the order of `columns`, the
-    pivot row being the one with the smallest entry there, which multiplies
-    the other rows least, and a row multiplied to clear a column is then
-    divided by its content.
+    pivot row being the one with the smallest entry there.  Over the
+    integers that row multiplies the other rows least, and a row multiplied
+    to clear a column is then divided by its content.  Modulo the prime
+    every row is reduced, each pivot row is scaled by the inverse of its
+    pivot, and a clear subtracts a multiple of it, with no content to take:
+    the rank of the integer rows modulo the prime, a lower bound on their
+    rank over Q.
 
     `reducers` are fixed pivots, (column, integer row) pairs, each row zero
     in the columns of the reducers before it.  A triangular pass first
@@ -46,7 +60,10 @@ def echelon(rows, columns, prime=None, reducers=()):
     are dropped.
 
     Returns (pivot_rows, pivots): the integer rows in the order their pivot
-    columns were taken, each zero in every other pivot column."""
+    columns were taken, each zero in every other pivot column (and, modulo
+    the prime, 1 in its own)."""
+    if prime is not None:
+        reducers = [(c, _monic(fixed, c, prime)) for c, fixed in reducers]
     work = []
     for row in rows:
         scale = lcm(*(v.denominator for v in row))
@@ -64,6 +81,8 @@ def echelon(rows, columns, prime=None, reducers=()):
         if i is None:
             continue
         pivot = work.pop(i)
+        if prime is not None:
+            pivot = _monic(pivot, c, prime)
         for part in (done, work):
             for k, r in enumerate(part):
                 if r[c]:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import tee
 from operator import add
 
 from .envelopes import classify
@@ -115,10 +116,16 @@ def cross_check(Z: PointSet, lam_grid) -> CrossCheckReport:
         oracle = _valuation_memberships(c, Z, pairs, lams) if lams else []
         witness = None
         store: dict = {}  # the grid's exponents often share a piece
+        decided: dict = {}  # id(J) -> J's answers; the memo shares some J
         for i, lam in enumerate(lams):
             # the forms are many and of degree <= 8, so J decides them from
-            # one dual basis per degree, from its own Groebner basis
-            members = assembled[lam]._holds_each(forms, store)
+            # one dual basis per degree, from its own Groebner basis.  A J
+            # tested at an earlier exponent replays its answers from a tee,
+            # which holds them all: only a witness stops a pass early, and
+            # a witness ends the loop.
+            J = assembled[lam]
+            pending = decided.get(id(J)) or J._holds_each(forms, store)
+            members, decided[id(J)] = tee(pending)
             for G, answers, member in zip(forms, oracle, members):
                 if answers[i] != member:
                     # the monic form, m * F^a with the monic curve form

@@ -6,7 +6,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from lct3.cli import input_digest, main
+from lct3.cli import build_parser, input_digest, main
 
 COORD = {"points": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
 COLLINEAR = {"points": [["1", "0", "0"], ["0", "1", "0"], ["1", "1", "0"]]}
@@ -224,6 +224,40 @@ def test_parse_errors_exit_2(tmp_path, capsys):
 
     code, _, err = run(capsys, ["mi", write(tmp_path, COORD), "--lambda", "three"])
     assert code == 2
+
+
+def calls_in_one_process(capsys, argvs, fresh):
+    """(exit code, stdout) of each call in turn; with fresh, each call
+    builds its own parser."""
+    out = []
+    for argv in argvs:
+        if fresh:
+            build_parser.cache_clear()
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected the arguments
+            code = exc.code
+        out.append((code, capsys.readouterr().out))
+    return out
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # the parser is built on the first call and shared by the later ones,
+    # and no option of one call reaches the next
+    path = write(tmp_path, CONIC6)
+    argvs = [
+        ["mi", path],  # --lambda missing
+        ["--pretty", "mi", path, "--lambda", "1/2"],
+        ["classify", path],
+        ["jumps", path],
+    ]
+    build_parser.cache_clear()
+    shared = calls_in_one_process(capsys, argvs, fresh=False)
+    assert build_parser.cache_info().misses == 1
+    assert [code for code, _ in shared] == [2, 0, 0, 0]
+    assert shared[2][1].count("\n") == 1  # not indented
+    assert json.loads(shared[3][1])["lambda_max"] == "3"
+    assert shared == calls_in_one_process(capsys, argvs, fresh=True)
 
 
 def test_pretty_flag(tmp_path, capsys):

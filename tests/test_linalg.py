@@ -186,3 +186,23 @@ def test_modular_rank_below_integer_rank(p):
         assert len(echelon(m, range(2), p)[1]) == reference_rank_mod(
             [[v % p for v in row] for row in m], p
         ) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.lists(st.lists(st.integers(-6, 6), min_size=5, max_size=5), max_size=7),
+    data=st.data(),
+)
+def test_modular_rank_is_the_integer_rank(m, data):
+    # Entries this small keep every minor far below the prime, so the rank
+    # modulo it is the integer rank.  Rows multiplied by the prime vanish
+    # modulo it and drop out; the others are moved by multiples of it.
+    p = zerodim.TRACE_PRIME
+    vanish = data.draw(st.sets(st.integers(0, len(m) - 1))) if m else set()
+    shift = data.draw(st.integers(-2, 2))
+    moved = [
+        [p * v for v in row] if i in vanish else [v + shift * p for v in row]
+        for i, row in enumerate(m)
+    ]
+    kept = [row for i, row in enumerate(m) if i not in vanish]
+    assert len(echelon(moved, range(5), p)[1]) == len(echelon(kept, range(5))[1])

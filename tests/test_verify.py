@@ -57,8 +57,9 @@ DEFAULT_GRID = [F(1, 2), F(1), F(3, 2), F(2), F(5, 2)]
 # grid after classify: exact integer divisions by the curve form; the
 # membership tests by normal form (Ideal._holds, which the public contains and
 # contains_ideal also call) that are left, those of monotonicity and power
-# containment; the dual bases asked for, one per exponent and degree 0..8 of
-# the test forms; and how many of these needed an echelon pass, the others
+# containment; the batched passes (Ideal._holds_each), one per distinct ideal
+# object of the grid; the dual bases asked for, one per pass and degree 0..8
+# of the test forms; and how many of these needed an echelon pass, the others
 # being degrees of monomial pieces or with no standard monomial, or pieces
 # equal to one eliminated before on the grid.  The test forms were decided
 # by one normal form each until the assembled ideals answered them from dual
@@ -67,16 +68,24 @@ DEFAULT_GRID = [F(1, 2), F(1), F(3, 2), F(2), F(5, 2)]
 # both were redone at every exponent).  The oracle divided 1617 and 478 test
 # forms by the curve form until verify gave it their orders, and each
 # exponent eliminated its own pieces, 12 and 13 passes, until the grid shared
-# one store of dual bases.  The counts may only go down.
-GATE_ORACLE = {"three_collinear": (0, 20, 45, 6), "six_on_conic": (0, 41, 45, 8)}
+# one store of dual bases.  On the coordinate axes and three collinear points
+# J(1/2) and J(1) are one unit ideal object, tested twice (5 passes, 45 dual
+# bases, 42 and 20 normal forms) until its answers were replayed and an ideal
+# was known to contain itself.  The counts may only go down.
+GATE_ORACLE = {
+    "coordinate_points": (0, 41, 4, 36, 0),
+    "three_collinear": (0, 19, 4, 36, 6),
+    "six_on_conic": (0, 41, 5, 45, 8),
+}
 
 
 @pytest.mark.parametrize("name", sorted(GATE_ORACLE))
 def test_cross_check_oracle_counts_are_pinned(request, monkeypatch, cold_caches, name):
     Z_ = request.getfixturevalue(name)
     classify(Z_)
-    calls = {"divide": 0, "holds": 0, "dual": 0, "eliminated": 0}
+    calls = {"divide": 0, "holds": 0, "holds_each": 0, "dual": 0, "eliminated": 0}
     divide, holds = multiplier._exact_quotient, ideals.Ideal._holds
+    holds_each = ideals.Ideal._holds_each
     dual, kernel = ideals._dual_basis, ideals.integer_kernel
 
     def counted(key, function):
@@ -88,6 +97,7 @@ def test_cross_check_oracle_counts_are_pinned(request, monkeypatch, cold_caches,
 
     monkeypatch.setattr(multiplier, "_exact_quotient", counted("divide", divide))
     monkeypatch.setattr(ideals.Ideal, "_holds", counted("holds", holds))
+    monkeypatch.setattr(ideals.Ideal, "_holds_each", counted("holds_each", holds_each))
     monkeypatch.setattr(ideals, "_dual_basis", counted("dual", dual))
     monkeypatch.setattr(ideals, "integer_kernel", counted("eliminated", kernel))
     assert cross_check(Z_, DEFAULT_GRID).ok
@@ -199,6 +209,28 @@ def test_valuation_witness_is_the_first_disagreement(
     assert not report.ok
     assert not entry.passed
     assert entry.details == witness
+
+
+def test_valuation_witness_on_a_replayed_ideal(monkeypatch, six_on_conic):
+    # J(3/2) replaced by the memo's object for J(1) = (1): the pass on J(1)
+    # decides both exponents, and the witness is still named at the least
+    # exponent where the oracle disagrees
+    lookup = verify._lookup
+    monkeypatch.setattr(
+        verify, "_lookup", lambda c, Z_, lam, memo: lookup(c, Z_, min(lam, F(1)), memo)
+    )
+    passes = []
+    holds_each = ideals.Ideal._holds_each
+
+    def counted(J, forms, store):
+        passes.append(J)
+        return holds_each(J, forms, store)
+
+    monkeypatch.setattr(ideals.Ideal, "_holds_each", counted)
+    report = cross_check(six_on_conic, [F(1, 2), F(1), F(3, 2)])
+    (entry,) = [e for e in report.entries if e.name == "valuation-oracle"]
+    assert not entry.passed and entry.details == "lambda=3/2, form=1"
+    assert len(passes) == 2 and all(J.is_unit() for J in passes)
 
 
 def test_valuation_witness_in_case_a_is_that_of_the_normal_forms(
