@@ -16,10 +16,10 @@ from functools import lru_cache
 from operator import add
 
 from .ideals import Ideal, _int_from_poly, ideal_quotient, maximal_ideal, saturate
-from .linalg import echelon
+from .linalg import rank
 from .points import CACHE_SIZE, PointSet, graded_piece, hilbert_pieces, ideal_of_points
 from .polynomials import GREVLEX, Poly, monomials_of_degree
-from .zerodim import TRACE_PRIME, hilbert_polynomial, zero_dim_report
+from .zerodim import hilbert_polynomial, zero_dim_report
 
 CURVE = "curve"
 FINITE_SCHEME = "finite-scheme"
@@ -114,20 +114,23 @@ def geometric_generating_degrees(Z: PointSet):
 def generator_degrees(Z: PointSet):
     """Degrees in which the saturated ideal needs minimal generators: d is
     one exactly when the degree-d forms through Z exceed the span of
-    (linear forms) * (degree d-1 forms through Z), decided by exact rank."""
+    (linear forms) * (degree d-1 forms through Z), decided by exact rank.
+    The shifts lie in the degree-d piece, so its dimension bounds their
+    rank, and a modular rank that reaches it is exact."""
     out = []
     prev_forms = ()
     for piece in hilbert_pieces(Z):
-        if len(piece.forms) > _shifted_rank(prev_forms, piece.degree):
+        bound = len(piece.forms)
+        if bound > _shifted_rank(prev_forms, piece.degree, bound):
             out.append(piece.degree)
         prev_forms = [f for _, f in piece.forms]
     return out
 
 
-def _shifted_rank(forms, t: int, prime=None) -> int:
-    """Rank of the shifts m*f, m a monomial of degree t - deg f, of nonzero
-    integer forms f inside the degree-t monomials; given a prime, the rank
-    modulo it, a lower bound on the rank over Q."""
+def _shifted_rank(forms, t: int, bound: int) -> int:
+    """Rank over Q of the shifts m*f, m a monomial of degree t - deg f, of
+    nonzero integer forms f inside the degree-t monomials, by linalg.rank
+    given `bound`, an upper bound on it."""
     monos = monomials_of_degree(t)
     index = {m: k for k, m in enumerate(monos)}
     rows = []
@@ -137,7 +140,7 @@ def _shifted_rank(forms, t: int, prime=None) -> int:
             for e, c in f.items():
                 row[index[tuple(map(add, e, m))]] = c
             rows.append(row)
-    return len(echelon(rows, range(len(monos)), prime)[1])
+    return rank(rows, len(monos), bound)
 
 
 def is_smooth_plane_curve(F: Poly) -> bool:
@@ -152,9 +155,9 @@ def is_smooth_plane_curve(F: Poly) -> bool:
     that fills some degree contains a power of m, so an ideal that is not
     m-primary fills none.  Hence F is smooth iff the Macaulay rows
     mu*F_i, |mu| = T - d + 1, span the C(T + 2, 2) monomials of degree T.
-    Their rank is first taken modulo zerodim.TRACE_PRIME, which can only
-    lower it, so full rank there certifies; a rank short of full there is
-    taken again over Q."""
+    linalg.rank takes their rank modulo TRACE_PRIME, which can only lower
+    it, so full rank there certifies; a rank short of full there is taken
+    again over Q."""
     if F.is_zero() or not F.is_homogeneous() or F.total_degree() < 1:
         raise ValueError("expected a nonzero homogeneous form of positive degree")
     T = max(3 * F.total_degree() - 5, 0)
@@ -165,10 +168,7 @@ def is_smooth_plane_curve(F: Poly) -> bool:
     ]
     partials = [p for p in partials if p]
     full = (T + 1) * (T + 2) // 2
-    return (
-        _shifted_rank(partials, T, TRACE_PRIME) == full
-        or _shifted_rank(partials, T) == full
-    )
+    return _shifted_rank(partials, T, full) == full
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -4,12 +4,21 @@ Every rank, reduced row echelon form and kernel in lct3, and each degree of
 a homogeneous Groebner basis, comes from one Gauss-Jordan elimination,
 `echelon`: fraction-free over the integers (Bareiss, Math. Comp. 1968), or
 modulo a prime with pivots scaled to 1.  Pivots taken left to right give the
-reduced row echelon form; right to left, the reduced kernel basis."""
+reduced row echelon form; right to left, the reduced kernel basis.  A
+question that reads only a rank asks `rank`, which eliminates forward only
+(no back-substitution into the pivot rows) and modulo TRACE_PRIME first,
+over the integers only when the modular rank falls short of a bound the
+caller knows."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+
+# A Mersenne prime, the one modulus of lct3.  A minor that is nonzero
+# modulo it is nonzero, so a rank modulo it is a lower bound on the rank
+# over Q, and full rank modulo it certifies full rank over Q.
+TRACE_PRIME = 2**61 - 1
 
 
 def _primitive(row, prime):
@@ -41,7 +50,7 @@ def _clear(row, pivot, c, prime):
     return _primitive([a * x - b * y for x, y in zip(row, pivot)], None)
 
 
-def echelon(rows, columns, prime=None, reducers=()):
+def echelon(rows, columns, prime=None, reducers=(), back=True):
     """Gauss-Jordan elimination, without division over the integers or,
     given a prime, modulo it.  Each rational row is first scaled by its
     common denominator; pivots are tried in the order of `columns`, the
@@ -58,6 +67,12 @@ def echelon(rows, columns, prime=None, reducers=()):
     clears every row in those columns, in the order given; the reducers
     themselves are neither changed nor returned, and rows that become zero
     are dropped.
+
+    With back=False the pass is forward only: a pivot clears its column in
+    the rows still to be reduced, not in the pivot rows taken before it.
+    The rows left to reduce, and so the pivots, are the same as with the
+    back-substitution; each pivot row is then zero only in the pivot
+    columns taken before its own.
 
     Returns (pivot_rows, pivots): the integer rows in the order their pivot
     columns were taken, each zero in every other pivot column (and, modulo
@@ -83,13 +98,27 @@ def echelon(rows, columns, prime=None, reducers=()):
         pivot = work.pop(i)
         if prime is not None:
             pivot = _monic(pivot, c, prime)
-        for part in (done, work):
+        for part in (done, work) if back else (work,):
             for k, r in enumerate(part):
                 if r[c]:
                     part[k] = _clear(r, pivot, c, prime)
         done.append(pivot)
         pivots.append(c)
     return done, tuple(pivots)
+
+
+def rank(rows, ncols, bound=None) -> int:
+    """The rank over Q of rational rows of length ncols, by forward-only
+    elimination.  The rank modulo TRACE_PRIME comes first; it is a lower
+    bound, so when it reaches `bound`, an upper bound the caller knows
+    (min(len(rows), ncols) when not given), it is the rank.  Otherwise the
+    rows are ranked again over the integers."""
+    if bound is None:
+        bound = min(len(rows), ncols)
+    modular = len(echelon(rows, range(ncols), TRACE_PRIME, back=False)[1])
+    if modular == bound:
+        return modular
+    return len(echelon(rows, range(ncols), back=False)[1])
 
 
 def integer_kernel(reduced, pivots, ncols) -> list:
@@ -135,7 +164,7 @@ class RatMatrix:
         return RatMatrix(m), pivots
 
     def rank(self) -> int:
-        return len(echelon(self.entries, range(self.cols))[1])
+        return rank(self.entries, self.cols)
 
     def kernel_basis(self):
         """Basis of the right kernel, itself in reduced echelon form.  With

@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache, reduce
 from math import lcm
 
 from .ideals import Ideal, _poly_from_int, ideal_intersect, ideal_power, unit_ideal
-from .linalg import echelon, integer_kernel
+from .linalg import echelon, integer_kernel, rank
 from .polynomials import monomials_of_degree
 
 
@@ -124,15 +124,20 @@ def evaluation_matrix(Z: PointSet, d: int) -> list:
 
 def graded_piece(Z: PointSet, d: int) -> GradedPiece:
     """All degree-d forms vanishing on Z, as the reduced echelon basis of
-    the kernel of the evaluation matrix, read off one echelon pass with
-    pivots taken right to left.  Each pivot row is then zero right of its
-    pivot, so the kernel vector of a free column f (linalg.integer_kernel)
-    is zero left of f and in every other free column: f is its leading
-    monomial, and every vector is reduced against the others."""
+    the kernel of the evaluation matrix.  With at least as many points as
+    monomials, a full rank (linalg.rank, no kernel) gives the empty piece.
+    Every other piece is read off one echelon pass with pivots taken right
+    to left.  Each pivot row is then zero right of its pivot, so the kernel
+    vector of a free column f (linalg.integer_kernel) is zero left of f and
+    in every other free column: f is its leading monomial, and every vector
+    is reduced against the others."""
     if d < 0:
         raise ValueError("degree must be non-negative")
     monos = monomials_of_degree(d)
-    reduced, pivots = echelon(evaluation_matrix(Z, d), range(len(monos) - 1, -1, -1))
+    rows = evaluation_matrix(Z, d)
+    if len(rows) >= len(monos) and rank(rows, len(monos)) == len(monos):
+        return GradedPiece(d, ())
+    reduced, pivots = echelon(rows, range(len(monos) - 1, -1, -1))
     forms = tuple(
         (monos[f], {monos[j]: v for j, v in vec.items()})
         for f, vec in integer_kernel(reduced, pivots, len(monos))
@@ -234,15 +239,18 @@ def is_rank_general(Z: PointSet) -> bool:
     """Do the points impose independent conditions in every degree?  With
     t0 the least t where C(t+2, 2) >= n, no form of degree t0 - 1 through
     Z rules out one of lower degree, and n conditions in degree t0 persist
-    above it, so those two degrees decide."""
+    above it, so those two degrees decide.  In each, the evaluation matrix
+    must have rank min(n, C(t+2, 2)), the most it can have, so one modular
+    rank (linalg.rank) usually decides and no piece is built."""
     n = len(Z)
     t0 = 0
     while (t0 + 1) * (t0 + 2) // 2 < n:
         t0 += 1
-    return all(
-        graded_piece(Z, t).codim() == min(n, (t + 1) * (t + 2) // 2)
-        for t in range(max(t0 - 1, 0), t0 + 1)
-    )
+    for t in range(max(t0 - 1, 0), t0 + 1):
+        space = (t + 1) * (t + 2) // 2
+        if rank(evaluation_matrix(Z, t), space) < min(n, space):
+            return False
+    return True
 
 
 class SamplingError(RuntimeError):
@@ -253,27 +261,22 @@ def general_points(n: int, seed: int) -> PointSet:
     """A reproducible random point set with verified general rank behavior.
 
     Samples integer coordinates uniformly from [-B, B]; generality is not
-    assumed but checked, with a bounded number of resamples.  Rank generality
-    allows three points on a line (at n = 5 first for seed 1495); such sets
-    are kept, so that each seed keeps its draw."""
+    assumed but checked, with a bounded number of resamples.  Each drawn
+    point is normalized once, and the set keeps the points in draw order.
+    Rank generality allows three points on a line (at n = 5 first for seed
+    1495); such sets are kept, so that each seed keeps its draw."""
     if n < 1:
         raise ValueError("need at least one point")
     rng = random.Random(seed)
     for _ in range(GENERALITY_RETRIES):
-        triples = []
-        seen = set()
-        while len(triples) < n:
+        drawn = {}  # normalized point -> None, in draw order
+        while len(drawn) < n:
             t = tuple(
                 rng.randint(-COORDINATE_BOUND, COORDINATE_BOUND) for _ in range(3)
             )
-            if all(v == 0 for v in t):
-                continue
-            p = PointP2.of(*t)
-            if p in seen:
-                continue
-            seen.add(p)
-            triples.append(t)
-        Z = PointSet.of(triples)
+            if any(t):
+                drawn.setdefault(PointP2.of(*t))
+        Z = PointSet(tuple(drawn))
         if n == 1 or is_rank_general(Z):
             return Z
     raise SamplingError(f"could not sample a general {n}-point set (seed {seed})")

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ideals import Ideal, ideal_sum, _divides, _standard_count
-from .linalg import echelon, integer_kernel
+from .linalg import TRACE_PRIME, echelon, integer_kernel
 from .polynomials import GREVLEX
 
 
@@ -78,11 +78,6 @@ def _charts_reduced(I: Ideal, degree: int) -> bool:
         if chart == 2 and dim == degree:
             return True
     return True
-
-
-# A Mersenne prime.  Full rank of the trace form modulo it certifies full
-# rank over Q, since a minor that is nonzero mod p is nonzero.
-TRACE_PRIME = 2**61 - 1
 
 
 def _chart_reduced(J: Ideal):

@@ -3,6 +3,7 @@ from itertools import count
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from test_linalg import eliminations_taken
 from test_metamorphic import composed, unimodular
 from test_points import special_point_sets
 
@@ -28,7 +29,7 @@ from lct3 import (
     saturate,
     zero_dim_report,
 )
-from lct3 import envelopes, ideals, zerodim
+from lct3 import envelopes, ideals, linalg, zerodim
 from lct3.points import hilbert_pieces
 from lct3.zerodim import hilbert_polynomial
 
@@ -119,31 +120,19 @@ def test_smoothness_is_invariant_under_integer_changes_of_coordinates(F, smooth,
     assert is_smooth_plane_curve(moved) == smooth_by_groebner(moved) == smooth
 
 
-def ranks_taken(monkeypatch):
-    """The primes (None over Q) of the shifted ranks taken from now on."""
-    primes = []
-    shifted_rank = envelopes._shifted_rank
-
-    def counted(forms, t, prime=None):
-        primes.append(prime)
-        return shifted_rank(forms, t, prime)
-
-    monkeypatch.setattr(envelopes, "_shifted_rank", counted)
-    return primes
-
-
 def test_smoothness_falls_back_to_the_rank_over_q(monkeypatch):
     # the partials 2x, 2y and 2p*z: singular modulo p, smooth over Q
-    primes = ranks_taken(monkeypatch)
-    assert is_smooth_plane_curve(X * X + Y * Y + zerodim.TRACE_PRIME * Z * Z)
-    assert primes == [zerodim.TRACE_PRIME, None]
+    passes = eliminations_taken(monkeypatch)
+    assert is_smooth_plane_curve(X * X + Y * Y + linalg.TRACE_PRIME * Z * Z)
+    assert passes == [(linalg.TRACE_PRIME, False), (None, False)]
 
 
 def test_smoothness_builds_no_groebner_basis(
     monkeypatch, six_on_conic, eleven_on_cubic
 ):
     # the curves through Z that classify tests, and the cubic of eleven
-    # points, which classify leaves unsupported: one modular rank each
+    # points, which classify leaves unsupported: one forward-only modular
+    # rank each
     sets = [six_on_conic, eleven_on_cubic]
     sets += [general_points(n, s) for n in (9, 14) for s in (1, 2)]
     curves = []
@@ -152,9 +141,9 @@ def test_smoothness_builds_no_groebner_basis(
         curves.append(F)
     runs = []
     monkeypatch.setattr(ideals, "_graded", lambda *args: runs.append(args))
-    primes = ranks_taken(monkeypatch)
+    passes = eliminations_taken(monkeypatch)
     assert all(map(is_smooth_plane_curve, curves))
-    assert runs == [] and primes == [zerodim.TRACE_PRIME] * len(curves)
+    assert runs == [] and passes == [(linalg.TRACE_PRIME, False)] * len(curves)
 
 
 def test_classify_three_noncollinear(coordinate_points):
@@ -344,33 +333,31 @@ def test_classify_intersections_are_pinned(
 def test_classify_computes_each_graded_piece_once(monkeypatch, cold_caches):
     # the pieces (I_Z)_d are the primary data: one classify computes each
     # degree's piece once and derives I_Z, the envelope chain and the
-    # generator degrees from them; each piece is one elimination
-    from lct3 import envelopes, linalg, points
+    # generator degrees from them; each piece is one elimination, a
+    # forward-only modular rank while the points outnumber the monomials
+    # (the piece is then empty), and the kernel pass after that
+    from lct3 import points
 
     Z_ = general_points(8, 42)  # drawn before counting: it ranks pieces too
-    degrees, eliminations, per_piece = [], [], []
-    piece, echelon = points.graded_piece, linalg.echelon
-
-    def counted_echelon(*args):
-        eliminations.append(args)
-        return echelon(*args)
+    degrees, per_piece = [], []
+    piece = points.graded_piece
+    eliminations = eliminations_taken(monkeypatch, (linalg, points))
 
     def counted(Z, d):
         degrees.append(d)
         before = len(eliminations)
         result = piece(Z, d)
-        per_piece.append(len(eliminations) - before)
+        per_piece.append(eliminations[before:])
         return result
 
-    for module in (linalg, points):
-        monkeypatch.setattr(module, "echelon", counted_echelon)
     for module in (points, envelopes):
         monkeypatch.setattr(module, "graded_piece", counted)
     c = classify(Z_)
     assert c.kind == "C"
     assert degrees == list(range(len(points.hilbert_pieces(Z_))))
     assert len(degrees) == 5
-    assert per_piece == [1] * 5
+    rank, kernel = (linalg.TRACE_PRIME, False), (None, True)
+    assert per_piece == [[rank]] * 3 + [[kernel]] * 2
 
 
 # Noise-free gate on classify: saturations per classification.  The chain

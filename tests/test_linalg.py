@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lct3 import RatMatrix, zerodim
-from lct3.linalg import echelon
+from lct3 import RatMatrix, linalg
+from lct3.linalg import TRACE_PRIME, echelon, rank
 
 
 def test_identity_has_trivial_kernel():
@@ -168,7 +168,7 @@ def test_kernel_agrees_with_fraction_gauss_jordan(m):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    p=st.sampled_from([2, 3, 5, 7, zerodim.TRACE_PRIME]),
+    p=st.sampled_from([2, 3, 5, 7, TRACE_PRIME]),
     m=st.lists(st.lists(st.integers(0, 6), min_size=4, max_size=4), max_size=5),
 )
 def test_modular_rank_agrees_with_reference(p, m):
@@ -176,7 +176,7 @@ def test_modular_rank_agrees_with_reference(p, m):
     assert len(echelon(m, range(4), p)[1]) == reference_rank_mod(m, p)
 
 
-@pytest.mark.parametrize("p", [7, zerodim.TRACE_PRIME])
+@pytest.mark.parametrize("p", [7, TRACE_PRIME])
 def test_modular_rank_below_integer_rank(p):
     # both determinants are p: rank 2 over Z, 1 mod p.  In the second matrix
     # the combined row is (0, -p) before reduction, so dividing out its
@@ -188,6 +188,20 @@ def test_modular_rank_below_integer_rank(p):
         ) == 1
 
 
+def moved_by_the_prime(m, data):
+    """(moved, kept): m with some rows multiplied by TRACE_PRIME, which
+    vanish modulo it, and the others shifted entrywise by a multiple of it,
+    unchanged modulo it; and m without the multiplied rows."""
+    p = TRACE_PRIME
+    vanish = data.draw(st.sets(st.integers(0, len(m) - 1))) if m else set()
+    shift = data.draw(st.integers(-2, 2))
+    moved = [
+        [p * v for v in row] if i in vanish else [v + shift * p for v in row]
+        for i, row in enumerate(m)
+    ]
+    return moved, [row for i, row in enumerate(m) if i not in vanish]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     m=st.lists(st.lists(st.integers(-6, 6), min_size=5, max_size=5), max_size=7),
@@ -197,12 +211,72 @@ def test_modular_rank_is_the_integer_rank(m, data):
     # Entries this small keep every minor far below the prime, so the rank
     # modulo it is the integer rank.  Rows multiplied by the prime vanish
     # modulo it and drop out; the others are moved by multiples of it.
-    p = zerodim.TRACE_PRIME
-    vanish = data.draw(st.sets(st.integers(0, len(m) - 1))) if m else set()
-    shift = data.draw(st.integers(-2, 2))
-    moved = [
-        [p * v for v in row] if i in vanish else [v + shift * p for v in row]
-        for i, row in enumerate(m)
-    ]
-    kept = [row for i, row in enumerate(m) if i not in vanish]
-    assert len(echelon(moved, range(5), p)[1]) == len(echelon(kept, range(5))[1])
+    moved, kept = moved_by_the_prime(m, data)
+    modular = echelon(moved, range(5), TRACE_PRIME)[1]
+    assert len(modular) == len(echelon(kept, range(5))[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=rational_matrices(),
+    reverse=st.booleans(),
+    p=st.sampled_from([None, 7, TRACE_PRIME]),
+)
+def test_forward_pass_takes_the_pivots_of_the_full_pass(m, reverse, p):
+    # without back-substitution each pivot row is still zero in the pivot
+    # columns taken before its own
+    cols = len(m[0]) if m else 1
+    order = range(cols - 1, -1, -1) if reverse else range(cols)
+    if p is not None:
+        m = [[v.numerator * pow(v.denominator, -1, p) % p for v in r] for r in m]
+    rows, pivots = echelon(m, order, p, back=False)
+    assert pivots == echelon(m, order, p)[1]
+    for k, (row, c) in enumerate(zip(rows, pivots)):
+        assert row[c] and not any(row[q] for q in pivots[:k])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.lists(st.lists(st.integers(-6, 6), min_size=4, max_size=4), max_size=6),
+    moved=st.booleans(),
+    data=st.data(),
+)
+def test_rank_is_the_rank_of_the_full_pass(m, moved, data):
+    if moved:
+        # the rank modulo the prime can then fall short of the rank over Q
+        m = moved_by_the_prime(m, data)[0]
+    exact = len(echelon(m, range(4))[1])
+    assert rank(m, 4) == exact
+    # any upper bound the caller knows gives the same rank
+    bound = data.draw(st.integers(exact, max(len(m), 4) + 1))
+    assert rank(m, 4, bound) == exact
+
+
+def eliminations_taken(monkeypatch, modules=(linalg,)):
+    """(prime, back) of each echelon pass that code in these modules runs
+    from now on, the prime None over the integers; linalg's own are those
+    of rank and RatMatrix."""
+    passes = []
+    full = linalg.echelon
+
+    def counted(rows, columns, prime=None, reducers=(), back=True):
+        passes.append((prime, back))
+        return full(rows, columns, prime, reducers, back)
+
+    for module in modules:
+        monkeypatch.setattr(module, "echelon", counted)
+    return passes
+
+
+def test_rank_falls_back_to_the_integers_below_its_bound(monkeypatch):
+    passes = eliminations_taken(monkeypatch)
+    p = TRACE_PRIME
+    # full modulo the prime: one forward pass decides
+    assert rank([[1, 2], [3, 4]], 2) == 2 and passes == [(p, False)]
+    # the row (p, p) vanishes modulo the prime: ranked again over Z
+    passes.clear()
+    assert rank([[1, 2], [p, p]], 2) == 2
+    assert passes == [(p, False), (None, False)]
+    # a bound below the row and column counts is reached modulo the prime
+    passes.clear()
+    assert rank([[1, 2], [2, 4], [3, 6]], 2, bound=1) == 1 and len(passes) == 1

@@ -28,8 +28,11 @@ from lct3 import (
 )
 from lct3.envelopes import classify
 from lct3.ideals import _reduced_basis, truncation
-from lct3.linalg import echelon
+from lct3.linalg import echelon, integer_kernel
 from lct3.points import (
+    COORDINATE_BOUND,
+    GENERALITY_RETRIES,
+    evaluation_matrix,
     expected_interpolation_data,
     fat_point_floor,
     hilbert_pieces,
@@ -140,6 +143,50 @@ def test_general_points_deterministic():
     assert is_rank_general(general_points(9, 77))
 
 
+def drawn_with_two_normalizations(n, seed):
+    """The draw of general_points, written out with two normalizations:
+    the triples kept in draw order, normalized once to reject repeats and
+    again by PointSet.of, and rank generality read off the exact rank of
+    the evaluation matrix in the two degrees that decide it."""
+    rng = random.Random(seed)
+    t0 = 0
+    while (t0 + 1) * (t0 + 2) // 2 < n:
+        t0 += 1
+    for _ in range(GENERALITY_RETRIES):
+        triples = []
+        seen = set()
+        while len(triples) < n:
+            t = tuple(
+                rng.randint(-COORDINATE_BOUND, COORDINATE_BOUND) for _ in range(3)
+            )
+            if all(v == 0 for v in t):
+                continue
+            p = PointP2.of(*t)
+            if p in seen:
+                continue
+            seen.add(p)
+            triples.append(t)
+        Z_ = PointSet.of(triples)
+        if n == 1 or all(
+            independent_conditions(Z_, t) for t in range(max(t0 - 1, 0), t0 + 1)
+        ):
+            return Z_
+    return None
+
+
+def independent_conditions(Z_, t):
+    """Does Z_ impose min(n, C(t + 2, 2)) conditions in degree t, by the
+    exact rank of its evaluation matrix?"""
+    space = (t + 1) * (t + 2) // 2
+    return len(echelon(evaluation_matrix(Z_, t), range(space))[1]) == min(len(Z_), space)
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_each_seed_keeps_its_points(n):
+    for seed in range(30):
+        assert general_points(n, seed) == drawn_with_two_normalizations(n, seed)
+
+
 def test_general_points_may_hold_a_collinear_triple():
     # general_points checks rank generality only.  Seed 1495 is the first in
     # 1..1495 whose five points hold three on a line; the one conic through
@@ -213,14 +260,35 @@ def test_ideal_of_points_is_the_intersection_of_point_primes(Z_):
     assert tuple(g.monic() for g in I.generators) == I.groebner()
 
 
+def kernel_piece(Z_, t):
+    """The degree-t forms through Z_ as (leading exponent, form) pairs: the
+    kernel of the evaluation matrix, read off echelon's full pass with
+    pivots taken right to left, with no rank taken first."""
+    monos = monomials_of_degree(t)
+    order = range(len(monos) - 1, -1, -1)
+    kernel = integer_kernel(*echelon(evaluation_matrix(Z_, t), order), len(monos))
+    return tuple((monos[f], {monos[j]: v for j, v in vec.items()}) for f, vec in kernel)
+
+
 def rank_general_in_every_degree(Z_):
     """n points impose independent conditions in degree n - 1, so degrees
     0 ... n - 1 are every degree."""
     n = len(Z_)
     return all(
-        graded_piece(Z_, t).codim() == min(n, (t + 1) * (t + 2) // 2)
+        len(kernel_piece(Z_, t)) == max((t + 1) * (t + 2) // 2 - n, 0)
         for t in range(n)
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(Z_=special_point_sets())
+@example(Z_=PointSet.of([(1, t, t * t) for t in range(-3, 3)]))
+@example(Z_=PointSet.of([(1, 0, 0), (0, 1, 0), (1, 1, 0)]))
+def test_graded_piece_is_the_kernel_in_every_degree(Z_):
+    # as many points as monomials but a short rank (six points on a conic
+    # in degree 2, three collinear points in degree 1) still give a kernel
+    for t in range(len(Z_)):
+        assert graded_piece(Z_, t).forms == kernel_piece(Z_, t)
 
 
 @settings(max_examples=60, deadline=None)
