@@ -11,8 +11,8 @@ inside intersection and elimination, which pass them to the engine
 directly.  One engine, `_graded`, builds every basis one degree at a
 time: each degree is one `linalg.echelon` elimination, whose pivot rows are
 the new basis elements, already reduced.  Generators that are not all
-homogeneous (the charts of `zerodim` and the t-lifted ideal of
-`ideal_intersect`) are homogenized with a new last variable first; setting
+homogeneous (the t-lifted ideal of `ideal_intersect`, and affine ideals
+given by a caller) are homogenized with a new last variable first; setting
 it to 1 in their graded basis and auto-reducing gives their reduced basis.
 
 Saturation is closed-form and only for what the package needs: a
@@ -778,28 +778,34 @@ def saturate(I: Ideal, J: Ideal) -> Ideal:
         variables.append(lead.index(1))
     if not variables:
         raise ValueError("saturate needs an ideal generated by variables")
-    forms = I._ints
-    if not all(map(_is_homogeneous, forms)):
+    if not all(map(_is_homogeneous, I._ints)):
         raise ValueError("saturate needs a homogeneous ideal")
     keyf = GREVLEX.key
     parts = []
     for v in variables:
         perm = tuple(i for i in range(n) if i != v) + (v,)
         inverse = tuple(perm.index(i) for i in range(n))
-        if v == n - 1:
-            basis = I._int_basis()  # its own grevlex basis, computed at most once
-        else:
-            basis = _reduced_basis([_permuted(g, perm) for g in forms], GREVLEX)
         # the generators are the basis elements divided out, oriented anew
         # because the moved order may have led with another term
         quotient = []
-        for _, g in basis:
+        for _, g in _basis_with_last(I, v):
             q = _permuted(_divide_out_last(g), inverse)
             if q[max(q, key=keyf)] < 0:
                 q = {e: -c for e, c in q.items()}
             quotient.append(q)
         parts.append(Ideal._of(quotient, n))
     return _fold(ideal_intersect, parts)
+
+
+def _basis_with_last(I: Ideal, v: int) -> tuple:
+    """The reduced grevlex basis of I with variable v moved to the last
+    place, the others keeping their order, as (leading exponent, primitive
+    polynomial) pairs in the moved variables: I's own cached basis when v is
+    already last, else one computed from I's generators."""
+    if v == I.nvars - 1:
+        return I._int_basis()
+    perm = tuple(i for i in range(I.nvars) if i != v) + (v,)
+    return _reduced_basis([_permuted(g, perm) for g in I._ints], GREVLEX)
 
 
 def _divide_out_last(p: IntPoly) -> IntPoly:

@@ -109,12 +109,11 @@ def echelon(rows, columns, prime=None, reducers=(), back=True):
 
 def rank(rows, ncols, bound=None) -> int:
     """The rank over Q of rational rows of length ncols, by forward-only
-    elimination.  The rank modulo TRACE_PRIME comes first; it is a lower
-    bound, so when it reaches `bound`, an upper bound the caller knows
-    (min(len(rows), ncols) when not given), it is the rank.  Otherwise the
-    rows are ranked again over the integers."""
-    if bound is None:
-        bound = min(len(rows), ncols)
+    elimination.  The rank modulo TRACE_PRIME comes first.  It is a lower
+    bound, so it is the rank when it reaches the least of `bound` (an upper
+    bound the caller knows, if any), the number of rows and ncols.
+    Otherwise the rows are ranked again over the integers."""
+    bound = min(len(rows), ncols, ncols if bound is None else bound)
     modular = len(echelon(rows, range(ncols), TRACE_PRIME, back=False)[1])
     if modular == bound:
         return modular

@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache, reduce
 from math import lcm
 
 from .ideals import Ideal, _poly_from_int, ideal_intersect, ideal_power, unit_ideal
-from .linalg import echelon, integer_kernel, rank
+from .linalg import TRACE_PRIME, echelon, integer_kernel, rank
 from .polynomials import monomials_of_degree
 
 
@@ -125,22 +125,24 @@ def evaluation_matrix(Z: PointSet, d: int) -> list:
 def graded_piece(Z: PointSet, d: int) -> GradedPiece:
     """All degree-d forms vanishing on Z, as the reduced echelon basis of
     the kernel of the evaluation matrix.  With at least as many points as
-    monomials, a full rank (linalg.rank, no kernel) gives the empty piece.
-    Every other piece is read off one echelon pass with pivots taken right
-    to left.  Each pivot row is then zero right of its pivot, so the kernel
-    vector of a free column f (linalg.integer_kernel) is zero left of f and
-    in every other free column: f is its leading monomial, and every vector
-    is reduced against the others."""
+    monomials, a full rank modulo TRACE_PRIME (one forward-only pass, a
+    lower bound on the rank) gives the empty piece.  Every other piece, a
+    rank short modulo the prime included, is read off one echelon pass over
+    the integers with pivots taken right to left.  Each pivot row is then
+    zero right of its pivot, so the kernel vector of a free column f
+    (linalg.integer_kernel) is zero left of f and in every other free
+    column: f is its leading monomial, and every vector is reduced against
+    the others."""
     if d < 0:
         raise ValueError("degree must be non-negative")
     monos = monomials_of_degree(d)
-    rows = evaluation_matrix(Z, d)
-    if len(rows) >= len(monos) and rank(rows, len(monos)) == len(monos):
+    rows, n = evaluation_matrix(Z, d), len(monos)
+    if len(rows) >= n and len(echelon(rows, range(n), TRACE_PRIME, back=False)[1]) == n:
         return GradedPiece(d, ())
-    reduced, pivots = echelon(rows, range(len(monos) - 1, -1, -1))
+    reduced, pivots = echelon(rows, range(n - 1, -1, -1))
     forms = tuple(
         (monos[f], {monos[j]: v for j, v in vec.items()})
-        for f, vec in integer_kernel(reduced, pivots, len(monos))
+        for f, vec in integer_kernel(reduced, pivots, n)
     )
     return GradedPiece(d, forms)
 

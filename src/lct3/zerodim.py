@@ -5,8 +5,11 @@ Hermite trace form on the standard affine charts."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import product
+from operator import add, sub
 
-from .ideals import Ideal, ideal_sum, _divides, _standard_count
+from .ideals import Ideal, _basis_with_last, _divides, _is_homogeneous, _standard_count
 from .linalg import TRACE_PRIME, echelon, integer_kernel
 from .polynomials import GREVLEX
 
@@ -25,7 +28,10 @@ def hilbert_function(I: Ideal, t: int) -> int:
 
 def zero_dim_report(I: Ideal) -> ZeroDimReport:
     """Analyze a saturated homogeneous ideal in three variables: its
-    projective degree and, for a zero-dimensional scheme, reducedness."""
+    projective degree and, for a zero-dimensional scheme, reducedness.  An
+    ideal that is not homogeneous is refused."""
+    if not all(_is_homogeneous(g) for _, g in I._int_basis()):
+        raise ValueError("zero_dim_report needs a homogeneous ideal")
     degree = projective_degree(I)
     if not degree:
         return ZeroDimReport(False, 0, False)
@@ -64,35 +70,48 @@ def projective_degree(I: Ideal) -> int:
 
 
 def _charts_reduced(I: Ideal, degree: int) -> bool:
-    """Is the scheme reduced on every standard affine chart?  The chart
-    z = 1 goes first: when its algebra has the full projective degree, no
-    point lies on z = 0 and that chart decides alone."""
-    gb = I.groebner()
-    for chart in (2, 0, 1):
-        J = Ideal([g.set_var_one(chart) for g in gb], nvars=2)
-        if J.is_unit():
+    """Is the scheme reduced on every standard affine chart (_chart)?  A
+    chart is empty when a leading exponent becomes 0, i.e. when a power of
+    its variable lies in I.  The chart z = 1 goes first, on I's own basis:
+    when its algebra has the full projective degree, no point lies on z = 0
+    and that chart decides alone."""
+    for v in (2, 0, 1):
+        chart = _chart(I, v)
+        if not all(any(lead) for lead, _ in chart):
             continue  # no points in this chart
-        dim, reduced = _chart_reduced(J)
+        dim, reduced = _chart_reduced(chart)
         if not reduced:
             return False
-        if chart == 2 and dim == degree:
+        if v == 2 and dim == degree:
             return True
     return True
 
 
-def _chart_reduced(J: Ideal):
-    """(dim A, is A reduced) for A = k[u,v]/J: A is reduced iff its trace
-    form has full rank.  The rank is first taken modulo TRACE_PRIME, which
-    can only lower it; a form short of full rank there is ranked again
-    over Q."""
-    basis = _standard_monomials(J)
+def _chart(I: Ideal, v: int) -> list:
+    """The chart v = 1 of a homogeneous ideal I: its reduced grevlex basis
+    with v last (ideals._basis_with_last), at v = 1.  Among forms of one
+    degree a lower power of v is a larger monomial, ties going as in grevlex
+    on the other variables, so each leading term stays leading, and this is
+    a Groebner basis of the chart's ideal, if not always a reduced one (Cox,
+    Little and O'Shea, Ideals, Varieties, and Algorithms, ch. 8 §4)."""
+    basis = _basis_with_last(I, v)
+    return [(l[:-1], {e[:-1]: c for e, c in g.items()}) for l, g in basis]
+
+
+def _chart_reduced(chart):
+    """(dim A, is A reduced) for A = k[u,v]/J, J given by a grevlex Groebner
+    basis (a chart): A is reduced iff its trace form has full rank.  When
+    the prime divides no leading coefficient, that rank is first taken
+    modulo TRACE_PRIME, where it can only drop; a form short of full rank
+    there is ranked again over Q.  Both ranks are forward only."""
+    basis = _standard_monomials([lead for lead, _ in chart], 2)
     n = len(basis)
-    coefficients = [c for g in J.groebner() for c in g.terms.values()]
-    if all(c.denominator % TRACE_PRIME for c in coefficients):
-        modular = _trace_matrix(J, basis, TRACE_PRIME)
-        if len(echelon(modular, range(n), TRACE_PRIME)[1]) == n:
+    if all(g[lead] % TRACE_PRIME for lead, g in chart):
+        modular = _trace_matrix(chart, basis, TRACE_PRIME)
+        if len(echelon(modular, range(n), TRACE_PRIME, back=False)[1]) == n:
             return n, True
-    return n, len(echelon(_trace_matrix(J, basis), range(n))[1]) == n
+    exact = _trace_matrix(chart, basis)
+    return n, len(echelon(exact, range(n), back=False)[1]) == n
 
 
 def radical_zero_dim(I: Ideal) -> Ideal:
@@ -101,98 +120,71 @@ def radical_zero_dim(I: Ideal) -> Ideal:
     radical is I plus the polynomials that kernel spans.  With pivots taken
     left to right, each kernel vector (linalg.integer_kernel) is positive
     in its last nonzero column, the leading one of the ascending basis."""
-    basis = _standard_monomials(I)
+    gb = I._int_basis()
+    basis = _standard_monomials([lead for lead, _ in gb], I.nvars)
     n = len(basis)
-    kernel = integer_kernel(*echelon(_trace_matrix(I, basis), range(n)), n)
+    kernel = integer_kernel(*echelon(_trace_matrix(gb, basis), range(n)), n)
     nilpotents = [{basis[j]: v for j, v in vec.items()} for _, vec in kernel]
-    return ideal_sum(I, Ideal._of(nilpotents, I.nvars))
+    return Ideal._of(I._ints + tuple(nilpotents), I.nvars)
 
 
-def _trace_matrix(I: Ideal, basis, prime: int = None) -> list:
+def _trace_matrix(gb, basis, prime: int = None) -> list:
     """The matrix Tr(b_i b_j) of the Hermite trace form of A = k[x]/I on its
-    standard monomials b_i.  Its rank is the number of distinct points of I
-    (characteristic 0), so I is radical iff the form has full rank (Cox,
-    Little, O'Shea, Using Algebraic Geometry, ch. 2 §§4-5).  Entries are
-    Fractions, or integers modulo `prime` when one is given (no coefficient
-    of I may then have a denominator divisible by it)."""
-    if prime is None:
-        lift = norm = lambda v: v
-    else:
-        lift = lambda c: c.numerator * pow(c.denominator, -1, prime) % prime
-        norm = lambda v: v % prime
+    standard monomials b_i, I given by a grevlex Groebner basis gb of
+    integer polynomials, (leading exponent, polynomial) pairs.  Its rank is
+    the number of distinct points of I (characteristic 0), so I is radical
+    iff the form has full rank (Cox, Little, O'Shea, Using Algebraic
+    Geometry, ch. 2 §§4-5).  Entries are Fractions, or integers modulo
+    `prime` when one is given, which may then divide no leading coefficient.
+
+    A monomial m that a leading exponent divides is congruent to that
+    element's tail, made monic, negated and shifted by m / lead, whose terms
+    are smaller than m in grevlex.  The monomials that the products b_i b_j
+    need are collected off a stack, with those tails, and the coordinates
+    of each are found once, ascending in grevlex, from smaller ones."""
+    norm = (lambda v: v) if prime is None else (lambda v: v % prime)
+    reducers = []  # (leading exponent, monic tail negated)
+    for lead, g in gb:
+        inv = Fraction(-1, g[lead]) if prime is None else -pow(g[lead], -1, prime)
+        reducers.append((lead, [(e, norm(c * inv)) for e, c in g.items() if e != lead]))
     index = {b: i for i, b in enumerate(basis)}
-    reducers = [
-        (g.leading_monomial(), {e: lift(c) for e, c in g.terms.items()})
-        for g in I.groebner()
+    products = [[tuple(map(add, a, b)) for b in basis] for a in basis]
+    tails = {}  # monomial -> its shifted monic tail, () for a standard one
+    todo = [m for row in products for m in row]
+    while todo:
+        m = todo.pop()
+        if m in tails:
+            continue
+        tails[m] = ()
+        if m not in index:
+            lead, tail = next(r for r in reducers if _divides(r[0], m))
+            s = tuple(map(sub, m, lead))
+            tails[m] = [(tuple(map(add, e, s)), c) for e, c in tail]
+            todo += [f for f, _ in tails[m]]
+    coords = {}  # monomial -> its normal form, as {basis index: coefficient}
+    for m in sorted(tails, key=GREVLEX.key):
+        form = {index[m]: 1} if m in index else {}
+        for f, c in tails[m]:
+            for k, v in coords[f].items():
+                form[k] = form.get(k, 0) + c * v
+        coords[m] = {k: r for k, v in form.items() if (r := norm(v))}
+    # tr[k] = Tr(b_k) is the trace of multiplication by b_k on the basis, and
+    # the trace of a monomial is that of its normal form
+    tr = [norm(sum(coords[m].get(l, 0) for l, m in enumerate(row))) for row in products]
+    trace = {m: norm(sum(c * tr[k] for k, c in f.items())) for m, f in coords.items()}
+    return [[trace[m] for m in row] for row in products]
+
+
+def _standard_monomials(leads, nvars: int) -> list:
+    """Monomials that no exponent of leads divides, ascending in grevlex.
+    They are finitely many exactly when a power of each variable is among
+    leads (1 for the unit ideal), and they lie below the least ones."""
+    powers = [
+        min((l[v] for l in leads if sum(l) == l[v]), default=-1) for v in range(nvars)
     ]
-    keyf = GREVLEX.key
-    forms = {}  # monomial -> its normal form, as {basis index: coefficient}
-
-    def coords(i, j):
-        m = tuple(a + b for a, b in zip(basis[i], basis[j]))
-        if m not in forms:
-            forms[m] = _normal_form(m, reducers, index, keyf, norm)
-        return forms[m]
-
-    n = len(basis)
-    products = [[coords(i, j) for j in range(n)] for i in range(n)]
-    # Tr(b_k) is the trace of multiplication by b_k on the basis
-    traces = [
-        norm(sum(products[k][l].get(l, 0) for l in range(n))) for k in range(n)
-    ]
-    return [
-        [
-            norm(sum(c * traces[k] for k, c in products[i][j].items()))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-
-
-def _standard_monomials(I: Ideal) -> list:
-    """Monomials outside the leading-term ideal, ascending in grevlex.
-    They are finitely many exactly when I is zero-dimensional."""
-    if I.is_unit():
-        return []
-    lts = I.leading_exponents()
-    for v in range(I.nvars):
-        if not any(l[v] > 0 and sum(l) == l[v] for l in lts):
-            raise ValueError(
-                f"no leading term is a power of variable {v}: ideal is not zero-dimensional"
-            )
-    found = {(0,) * I.nvars}
-    frontier = list(found)
-    while frontier:
-        e = frontier.pop()
-        for v in range(I.nvars):
-            f = e[:v] + (e[v] + 1,) + e[v + 1 :]
-            if f not in found and not any(_divides(l, f) for l in lts):
-                found.add(f)
-                frontier.append(f)
-    return sorted(found, key=GREVLEX.key)
-
-
-def _normal_form(m, reducers, index, keyf, norm) -> dict:
-    """Coordinates of the monomial m modulo a monic Groebner basis, given as
-    [(leading exponent, terms)], in the standard monomials listed by index."""
-    work = {m: 1}
-    out = {}
-    while work:
-        lt = max(work, key=keyf)
-        c = work.pop(lt)
-        for blt, terms in reducers:
-            if _divides(blt, lt):
-                shift = tuple(a - b for a, b in zip(lt, blt))
-                for e, t in terms.items():
-                    if e == blt:
-                        continue
-                    f = tuple(a + s for a, s in zip(e, shift))
-                    v = norm(work.get(f, 0) - c * t)
-                    if v:
-                        work[f] = v
-                    else:
-                        work.pop(f, None)
-                break
-        else:
-            out[index[lt]] = c
-    return out
+    if -1 in powers:
+        v = powers.index(-1)
+        raise ValueError(f"not zero-dimensional: no leading power of variable {v}")
+    box = product(*map(range, powers))
+    standard = (e for e in box if not any(_divides(l, e) for l in leads))
+    return sorted(standard, key=GREVLEX.key)

@@ -280,3 +280,28 @@ def test_rank_falls_back_to_the_integers_below_its_bound(monkeypatch):
     # a bound below the row and column counts is reached modulo the prime
     passes.clear()
     assert rank([[1, 2], [2, 4], [3, 6]], 2, bound=1) == 1 and len(passes) == 1
+    # so is a row count below the bound
+    passes.clear()
+    assert rank([[1, 2]], 2, bound=2) == 1 and len(passes) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.lists(st.lists(st.integers(-6, 6), min_size=4, max_size=4), max_size=6),
+    moved=st.booleans(),
+    data=st.data(),
+)
+def test_rank_ranks_again_only_below_every_bound_it_knows(m, moved, data):
+    # the rank is at most the bound, the row count and the column count, so
+    # a modular rank that reaches the least of them is the rank; only a
+    # shorter one is ranked again over Z
+    if moved:
+        m = moved_by_the_prime(m, data)[0]
+    exact = len(echelon(m, range(4))[1])
+    bound = data.draw(st.integers(exact, 7))
+    with pytest.MonkeyPatch.context() as patch:
+        passes = eliminations_taken(patch)
+        assert rank(m, 4, bound) == exact
+    modular = len(echelon(m, range(4), TRACE_PRIME)[1])
+    again = [(None, False)] if modular < min(bound, len(m), 4) else []
+    assert passes == [(TRACE_PRIME, False)] + again

@@ -5,6 +5,7 @@ from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from test_linalg import eliminations_taken
 
 from lct3 import (
     Ideal,
@@ -26,9 +27,10 @@ from lct3 import (
     unit_ideal,
     variables,
 )
+from lct3 import linalg, points
 from lct3.envelopes import classify
 from lct3.ideals import _reduced_basis, truncation
-from lct3.linalg import echelon, integer_kernel
+from lct3.linalg import TRACE_PRIME, echelon, integer_kernel
 from lct3.points import (
     COORDINATE_BOUND,
     GENERALITY_RETRIES,
@@ -268,6 +270,18 @@ def kernel_piece(Z_, t):
     order = range(len(monos) - 1, -1, -1)
     kernel = integer_kernel(*echelon(evaluation_matrix(Z_, t), order), len(monos))
     return tuple((monos[f], {monos[j]: v for j, v in vec.items()}) for f, vec in kernel)
+
+
+def test_a_short_rank_is_decided_by_the_kernel_pass(
+    monkeypatch, three_collinear, six_on_conic
+):
+    # as many points as monomials, but a rank short of full: the modular
+    # full-rank question, then the kernel pass, with no rank over Z between
+    passes = eliminations_taken(monkeypatch, (linalg, points))
+    for Z_, d in ((three_collinear, 1), (six_on_conic, 2)):
+        passes.clear()
+        assert len(graded_piece(Z_, d).forms) == 1
+        assert passes == [(TRACE_PRIME, False), (None, True)]
 
 
 def rank_general_in_every_degree(Z_):

@@ -2,17 +2,22 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+import sympy
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lct3 import (
     Ideal,
+    PointP2,
     PointSet,
     Poly,
     X,
     Y,
     Z,
+    ZeroDimReport,
+    classify,
     general_points,
     hilbert_function,
+    ideal_equal,
     ideal_intersect,
     ideal_of_points,
     ideal_power,
@@ -25,7 +30,8 @@ from lct3 import (
     variables,
     zero_dim_report,
 )
-from lct3 import zerodim
+from lct3 import ideals, polynomials, zerodim
+from lct3.linalg import TRACE_PRIME
 
 
 def test_three_coordinate_points():
@@ -105,39 +111,38 @@ def test_radical_rejects_positive_dimension():
         radical_zero_dim(Ideal([x2 * y2]))
 
 
-def _chart_z(I):
-    """The ideal of the scheme on the affine chart z = 1."""
-    return Ideal([g.set_var_one(2) for g in I.groebner()], nvars=2)
+def reference_chart(I, v=2):
+    """The ideal of the scheme on the affine chart v = 1, as an ideal of its
+    own: I's monic basis with v set to 1."""
+    return Ideal([g.set_var_one(v) for g in I.groebner()], nvars=2)
 
 
 AFFINE = ideal_of_points(PointSet.of([(0, 1, 1), (1, 2, 1), (3, 1, 1)]))
+CHART_IDEALS = [
+    # (x, y)^2 at [0:0:1]: the chart z = 1 holds all three of its length
+    pytest.param(Ideal([X * X, X * Y, Y * Y]), 3, False, 1, id="fat-point"),
+    pytest.param(AFFINE, 3, True, 1, id="affine-points"),
+    # a double point at [1:0:0] along z = 0, plus three affine points:
+    # z = 1 sees only the reduced part, the chart x = 1 finds the rest
+    pytest.param(
+        ideal_intersect(Ideal([Z, Y * Y]), AFFINE), 5, False, 2,
+        id="double-point-at-infinity",
+    ),
+    pytest.param(
+        ideal_intersect(Ideal([Z, Y]), AFFINE), 4, True, 3,
+        id="reduced-point-at-infinity",
+    ),
+    # everything on z = 0: the chart z = 1 is empty
+    pytest.param(
+        Ideal([Z, X * Y * (X - Y)]), 3, True, 2, id="three-points-at-infinity"
+    ),
+    pytest.param(
+        Ideal([Z, X * X * Y]), 3, False, 2, id="double-point-all-at-infinity"
+    ),
+]
 
 
-@pytest.mark.parametrize(
-    "ideal, degree, reduced, charts",
-    [
-        # (x, y)^2 at [0:0:1]: the chart z = 1 holds all three of its length
-        pytest.param(Ideal([X * X, X * Y, Y * Y]), 3, False, 1, id="fat-point"),
-        pytest.param(AFFINE, 3, True, 1, id="affine-points"),
-        # a double point at [1:0:0] along z = 0, plus three affine points:
-        # z = 1 sees only the reduced part, the chart x = 1 finds the rest
-        pytest.param(
-            ideal_intersect(Ideal([Z, Y * Y]), AFFINE), 5, False, 2,
-            id="double-point-at-infinity",
-        ),
-        pytest.param(
-            ideal_intersect(Ideal([Z, Y]), AFFINE), 4, True, 3,
-            id="reduced-point-at-infinity",
-        ),
-        # everything on z = 0: the chart z = 1 is empty
-        pytest.param(
-            Ideal([Z, X * Y * (X - Y)]), 3, True, 2, id="three-points-at-infinity"
-        ),
-        pytest.param(
-            Ideal([Z, X * X * Y]), 3, False, 2, id="double-point-all-at-infinity"
-        ),
-    ],
-)
+@pytest.mark.parametrize("ideal, degree, reduced, charts", CHART_IDEALS)
 def test_chart_logic(monkeypatch, ideal, degree, reduced, charts):
     calls = []
     chart_reduced = zerodim._chart_reduced
@@ -169,9 +174,144 @@ def test_doubling_a_point_breaks_reducedness(n, seed):
         doubled = ideal_intersect(doubled, ideal_of_points(PointSet(rest)))
     report = zero_dim_report(doubled)
     assert not report.is_reduced and report.degree == n + 2
-    radical = radical_zero_dim(_chart_z(doubled))
-    assert radical.groebner() == _chart_z(IZ).groebner()
+    radical = radical_zero_dim(reference_chart(doubled))
+    assert radical.groebner() == reference_chart(IZ).groebner()
 
+
+
+def standard_monomials_below(leads, top):
+    """The monomials in two variables of degree below top that no exponent
+    of leads divides, ascending in grevlex."""
+    return [
+        m
+        for d in range(top)
+        for m in reversed(monomials_of_degree(d, 2))
+        if not any(all(a <= b for a, b in zip(lead, m)) for lead in leads)
+    ]
+
+
+def checked_chart(I, v, degree):
+    """(dim, is reduced) of the chart v = 1 read off I's bases, None when it
+    is empty, after checking that the chart ideal agrees on emptiness and
+    standard monomials.  A chart holds at most the degree's length, so its
+    standard monomials have degree below it."""
+    chart, J = zerodim._chart(I, v), reference_chart(I, v)
+    empty = not all(any(lead) for lead, _ in chart)
+    assert empty == J.is_unit()
+    if empty:
+        return None
+    basis = standard_monomials_below(J.leading_exponents(), degree)
+    assert zerodim._standard_monomials([lead for lead, _ in chart], 2) == basis
+    return zerodim._chart_reduced(chart)
+
+
+@pytest.mark.parametrize("ideal, degree, reduced, charts", CHART_IDEALS)
+def test_charts_match_the_chart_ideals(ideal, degree, reduced, charts):
+    # a chart's algebra is reduced iff the chart ideal is radical
+    for v in range(3):
+        J = reference_chart(ideal, v)
+        found = checked_chart(ideal, v, degree)
+        if found is not None:
+            assert found[1] == ideal_equal(radical_zero_dim(J), J)
+
+
+@st.composite
+def points_on_coordinate_lines(draw):
+    """One to five distinct points with coordinates in [-3, 3], some forced
+    onto the line x = 0, y = 0 or z = 0, which lies off that chart."""
+    coordinate = st.integers(-3, 3)
+    where = st.sampled_from((None, 0, 1, 2))
+    triples = st.tuples(coordinate, coordinate, coordinate, where)
+    kept = {}
+    for *t, zero in draw(st.lists(triples, min_size=1, max_size=5)):
+        if zero is not None:
+            t[zero] = 0
+        if any(t):
+            kept.setdefault(PointP2.of(*t), None)
+    assume(kept)
+    return PointSet(tuple(kept))
+
+
+@settings(max_examples=40, deadline=None)
+@given(Z_=points_on_coordinate_lines(), doubled=st.booleans())
+@example(Z_=PointSet.of([(1, 0, 0), (0, 1, 0), (0, 0, 1)]), doubled=True)
+@example(Z_=PointSet.of([(0, 1, 2), (1, 0, 3), (2, 3, 0)]), doubled=False)
+def test_charts_see_the_points_off_their_lines(Z_, doubled):
+    # chart v holds the points with a nonzero v coordinate, each of length
+    # 1, and the first point of length 3 when it is doubled: reduced iff
+    # that point is not doubled there
+    first, rest = Z_.points[0], Z_.points[1:]
+    I = ideal_of_points(Z_)
+    if doubled:
+        I = ideal_power(point_prime(first), 2)
+        if rest:
+            I = ideal_intersect(I, ideal_of_points(PointSet(rest)))
+    degree = len(Z_) + 2 * doubled
+    assert zero_dim_report(I) == ZeroDimReport(True, degree, not doubled)
+    for v in range(3):
+        on_chart = sum(p.coords[v] != 0 for p in Z_)
+        fat = doubled and first.coords[v] != 0
+        expected = (on_chart + 2 * fat, not fat) if on_chart else None
+        assert checked_chart(I, v, degree) == expected
+
+
+def sympy_trace_matrix(chart, basis):
+    """Tr(b_i b_j) as the sum over l of the coefficient of b_l in the normal
+    form of b_i b_j b_l, normal forms taken by sympy over QQ."""
+    u, v = sympy.symbols("u v")
+    G = sympy.groebner(
+        [sum(c * u ** e[0] * v ** e[1] for e, c in g.items()) for _, g in chart],
+        u, v, order="grevlex",
+    )
+
+    def coefficient(m, b):
+        _, r = sympy.reduced(u ** m[0] * v ** m[1], list(G), u, v, order="grevlex")
+        q = sympy.Poly(r, u, v).coeff_monomial(u ** b[0] * v ** b[1])
+        return Fraction(int(q.p), int(q.q))
+
+    def trace(a, b):
+        return sum(coefficient(tuple(map(sum, zip(a, b, c))), c) for c in basis)
+
+    return [[trace(a, b) for b in basis] for a in basis]
+
+
+@pytest.mark.parametrize(
+    "ideal, v",
+    [
+        (Ideal([X * X, X * Y, Y * Y]), 2),
+        (AFFINE, 2),
+        (ideal_intersect(Ideal([Z, Y * Y]), AFFINE), 0),
+        (ideal_intersect(Ideal([Z, Y]), AFFINE), 1),
+    ],
+    ids=["fat-point", "affine-points", "double-point-x", "points-y"],
+)
+def test_trace_matrix_matches_sympy_normal_forms(ideal, v):
+    chart = zerodim._chart(ideal, v)
+    basis = zerodim._standard_monomials([lead for lead, _ in chart], 2)
+    expected = sympy_trace_matrix(chart, basis)
+    assert zerodim._trace_matrix(chart, basis) == expected
+    p = TRACE_PRIME
+    modular = [[x.numerator * pow(x.denominator, -1, p) % p for x in r] for r in expected]
+    assert zerodim._trace_matrix(chart, basis, p) == modular
+
+
+def test_report_on_a_kept_basis_builds_no_groebner_basis(monkeypatch, eight_general):
+    # the envelope's own basis is the chart z = 1, which decides alone: no
+    # basis is computed, and no chart ideal or monic basis is built
+    zd = classify(eight_general).zd_ideal
+    runs, built = [], []
+    monkeypatch.setattr(ideals, "_graded", lambda *args: runs.append(args))
+    monkeypatch.setattr(ideals.Ideal, "groebner", lambda I: built.append(I))
+    monkeypatch.setattr(polynomials.Poly, "set_var_one", lambda *a: built.append(a))
+    assert zero_dim_report(zd) == ZeroDimReport(True, 9, True)
+    assert runs == [] and built == []
+
+
+def test_non_homogeneous_ideal_rejected():
+    x2, y2 = variables(2)
+    for I in (Ideal([X * X - Z, Y]), Ideal([x2 * x2 - Poly.constant(1, 2), y2])):
+        with pytest.raises(ValueError, match="homogeneous"):
+            zero_dim_report(I)
 
 @pytest.mark.parametrize(
     "a",
