@@ -8,6 +8,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -27,6 +28,7 @@ from .polynomials import poly_str
 from .verify import cross_check
 
 EXIT_OK = 0
+EXIT_STDOUT_CLOSED = 1
 EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
 EXIT_VERIFY = 4
@@ -43,9 +45,22 @@ class InputError(Exception):
 # serialization helpers
 
 
+def exact_fraction(text: str) -> Fraction:
+    """Fraction(text), refusing first, unbuilt, a number whose digits and
+    exponent pass the digit limit, which Fraction's 10**exponent ignores."""
+    limit = sys.get_int_max_str_digits()
+    mantissa, _, exponent = text.strip().lower().partition("e")
+    exponent = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    if limit and exponent.isdigit():
+        digits = sum(c.isdigit() for c in mantissa)
+        if len(exponent) > len(str(limit)) or int(exponent) + digits > limit:
+            raise ValueError(f"exceeds the limit ({limit} digits)")
+    return Fraction(text)
+
+
 def parse_rational(text: str, what: str) -> Fraction:
     try:
-        return Fraction(text.strip())
+        return exact_fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"{what}: not an exact rational: {text!r} ({exc})")
 
@@ -143,7 +158,7 @@ def load_arrangement(path: str, seed_override=None):
                 if not isinstance(coord, (str, int)):
                     raise InputError(f"points[{i}][{j}]: expected a rational string")
                 try:
-                    triple.append(Fraction(str(coord)))
+                    triple.append(exact_fraction(str(coord)))
                 except (ValueError, ZeroDivisionError) as exc:
                     raise InputError(f"points[{i}][{j}]: {exc}")
             triples.append(triple)
@@ -306,7 +321,13 @@ def main(argv=None) -> int:
     if args.timings:
         doc["timings"] = {"total_seconds": round(time.perf_counter() - started, 6)}
     indent = 2 if args.pretty else None
-    print(json.dumps(doc, sort_keys=True, indent=indent))
+    try:
+        print(json.dumps(doc, sort_keys=True, indent=indent))
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+    except BrokenPipeError:  # the Python docs' note on SIGPIPE
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_STDOUT_CLOSED
     if args.command == "verify" and not result["ok"]:
         failed = [c for c in result["checks"] if not c["passed"]]
         if len(failed) == 1 and failed[0]["name"] == "classification":

@@ -4,16 +4,15 @@ product, power, intersection, quotient, saturation, elimination, equality.
 An Ideal has one representation: its generators as integer-coefficient
 "primitive" polynomials (dict exponent -> int, content 1, positive leading
 coefficient under grevlex) and its cached reduced grevlex basis in the same
-form, so that the calculus stays in exact integer arithmetic.  A Poly is
-converted where it comes in; the monic Fraction basis of groebner() and the
-Poly generators are built only when asked for.  Other orders appear only
-inside intersection and elimination, which pass them to the engine
-directly.  One engine, `_graded`, builds every basis one degree at a
-time: each degree is one `linalg.echelon` elimination, whose pivot rows are
-the new basis elements, already reduced.  Generators that are not all
-homogeneous (the t-lifted ideal of `ideal_intersect`, and affine ideals
-given by a caller) are homogenized with a new last variable first; setting
-it to 1 in their graded basis and auto-reducing gives their reduced basis.
+form, so that the calculus stays in exact integer arithmetic.  Every
+generator is a form: the constructor refuses a Poly that is not
+homogeneous, and converts the others where they come in; the monic
+Fraction basis of groebner() and the Poly generators are built only when
+asked for.  Other orders appear only inside intersection and elimination,
+which pass them to the engine directly; intersection lifts to forms in two
+more variables (`ideal_intersect`).  One engine, `_graded`, builds every
+basis one degree at a time: each degree is one `linalg.echelon`
+elimination, whose pivot rows are the new basis elements, already reduced.
 
 Saturation is closed-form and only for what the package needs: a
 homogeneous ideal by an ideal of variables, such as the irrelevant ideal
@@ -29,7 +28,6 @@ from fractions import Fraction
 from functools import reduce as _fold
 from itertools import chain
 from operator import add, le, sub
-from types import SimpleNamespace
 
 from .linalg import echelon, integer_kernel
 from .polynomials import (
@@ -301,41 +299,6 @@ def _update(pairs, lts, lt):
     return out
 
 
-def _dehomogenized(gens, order: MonomialOrder):
-    """Reduced Groebner basis of generators that are not all homogeneous,
-    through _graded (Cox, Little and O'Shea, Ideals, Varieties, and
-    Algorithms, ch. 8 section 4).  Each generator is homogenized to its top
-    degree with a new last variable h.  Under "total degree, then order on
-    the old variables", setting h = 1 in the leading term of a form gives
-    the leading term under order of the form at h = 1, so setting h = 1 in
-    the graded basis gives a Groebner basis of the ideal, and _autoreduce
-    makes it the reduced one."""
-    keyf = order.key
-    lifted = []
-    for g in gens:
-        top = max(map(sum, g))
-        lifted.append({e + (top - sum(e),): c for e, c in g.items()})
-    graded = _graded(lifted, SimpleNamespace(key=lambda e: (sum(e), keyf(e[:-1]))))
-    return _autoreduce([{e[:-1]: c for e, c in g.items()} for _, g in graded], order)
-
-
-def _autoreduce(G, order: MonomialOrder):
-    keyf = order.key
-    order_idx = sorted(range(len(G)), key=lambda i: keyf(max(G[i], key=keyf)))
-    kept: list = []
-    kept_lts: list = []
-    for i in order_idx:
-        lt = max(G[i], key=keyf)
-        if any(_divides(l, lt) for l in kept_lts):
-            continue
-        kept.append(G[i])
-        kept_lts.append(lt)
-    # a tail term lies below its own lead, so only smaller leads divide it
-    for idx in range(1, len(kept)):
-        kept[idx] = _nf(kept[idx], list(zip(kept_lts[:idx], kept[:idx])), order)
-    return sorted(zip(kept_lts, kept), key=lambda t: keyf(t[0]), reverse=True)
-
-
 def _exact_quotient(h: IntPoly, g: IntPoly, lead):
     """h / g when the primitive polynomial g, with leading exponent lead
     under grevlex, divides the integer polynomial h; else None.  By Gauss's
@@ -454,19 +417,16 @@ def _dual_basis(basis, t: int, nvars: int, store: dict) -> dict:
 
 
 def _reduced_basis(gens, order: MonomialOrder, floor=None) -> tuple:
-    """The reduced Groebner basis of integer polynomials, as (leading
-    exponent, primitive polynomial) pairs, leading exponents descending:
-    the minimal exponents of monomial generators, else the basis from
-    _graded, which takes the floor, or from _dehomogenized when not all are
-    homogeneous."""
+    """The reduced Groebner basis of integer forms, as (leading exponent,
+    primitive polynomial) pairs, leading exponents descending: the minimal
+    exponents of monomial generators, else the basis from _graded, which
+    takes the floor."""
     if gens and all(len(g) == 1 for g in gens):
         exps = {next(iter(g)) for g in gens}
         minimal = [e for e in exps if not any(m != e and _divides(m, e) for m in exps)]
         minimal.sort(key=order.key, reverse=True)
         return tuple((e, {e: 1}) for e in minimal)
-    if all(map(_is_homogeneous, gens)):
-        return tuple(_graded(gens, order, floor))
-    return tuple(_dehomogenized(gens, order))
+    return tuple(_graded(gens, order, floor))
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +434,10 @@ def _reduced_basis(gens, order: MonomialOrder, floor=None) -> tuple:
 
 
 class Ideal:
-    """An ideal given by generators, with a cached reduced Groebner basis.
+    """An ideal given by homogeneous generators, with a cached reduced
+    Groebner basis.
 
-    The generators are kept as distinct primitive integer polynomials
+    The generators are kept as distinct primitive integer forms
     (content 1, positive leading coefficient under grevlex), and the reduced
     grevlex basis as (leading exponent, primitive polynomial) pairs; an
     ideal made from its reduced basis has that basis as its generators.  The
@@ -495,6 +456,8 @@ class Ideal:
         for g in generators:
             if not isinstance(g, Poly):
                 raise TypeError("generators must be Poly")
+            if not g.is_homogeneous():
+                raise ValueError("generators must be homogeneous")
             if not g.is_zero():
                 gens.append(g)
         if nvars is None:
@@ -582,18 +545,14 @@ class Ideal:
         return not p or self.is_unit() or not _nf(p, self._int_basis(), GREVLEX)
 
     def _holds_each(self, forms, store: dict):
-        """Membership of each homogeneous integer polynomial, yielded in the
-        order given, in this ideal, which must be homogeneous.  The forms of
-        one degree share one _dual_basis, built when the first of them
-        comes, so a caller that stops early builds no more.  This pays for
-        many forms of low degree; a single form, or a few of high degree,
-        is cheaper as one normal form (_holds).  The dual bases eliminated
-        go to store (_dual_basis); a caller that tests several ideals passes
-        one store to all of them, so that an equal piece is eliminated
-        once."""
-        basis = self._int_basis()
-        if not all(_is_homogeneous(g) for _, g in basis):
-            raise ValueError("batched membership needs a homogeneous ideal")
+        """Membership of each integer form, yielded in the order given; a
+        polynomial that is not homogeneous is refused.  The forms of one
+        degree share one _dual_basis, built when the first of them comes, so
+        a caller that stops early builds no more.  This pays for many forms
+        of low degree; a single form, or a few of high degree, is cheaper as
+        one normal form (_holds).  The dual bases eliminated go to store
+        (_dual_basis); a caller that tests several ideals passes one store
+        to all of them, so that an equal piece is eliminated once."""
         duals: dict = {}
         for p in forms:
             if not p:
@@ -604,7 +563,7 @@ class Ideal:
             t = sum(next(iter(p)))
             touched = duals.get(t)
             if touched is None:
-                touched = duals[t] = _dual_basis(basis, t, self.nvars, store)
+                touched = duals[t] = _dual_basis(self._int_basis(), t, self.nvars, store)
             yield _pairs_to_zero(p, touched)
 
     def contains_ideal(self, other: "Ideal") -> bool:
@@ -696,8 +655,6 @@ def truncation(J: Ideal, k: int) -> Ideal:
     then the reduced echelon basis of J_k.  A degree-k initial monomial lies
     under no minimal generator of higher degree, and vice versa."""
     basis = J._int_basis()
-    if not all(_is_homogeneous(g) for _, g in basis):
-        raise ValueError("truncation needs a homogeneous ideal")
     k = max(k, 0)
     monos, standard, rows = _macaulay_rows(basis, k, J.nvars)
     if rows is None:
@@ -712,8 +669,12 @@ def truncation(J: Ideal, k: int) -> Ideal:
 
 
 def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
-    """Intersection via a single auxiliary variable t, placed first:
-    eliminate t from t*I + (1-t)*J, generated by the two reduced bases."""
+    """I ∩ J by one elimination on forms in (t, x..., h): t*f for f in I's
+    basis, h*g - t*g for g in J's.  Their ideal H is t*I + (1-t)*J at h = 1
+    and lies in (t) at h = 0, so H ∩ k[x..., h] = h*(I ∩ J)*k[h], as
+    h*q = t*q + (h - t)*q (Cox, Little and O'Shea, Ideals, Varieties, and
+    Algorithms, ch. 4 §3).  Its reduced basis under elimination_order(1) is
+    h times the reduced grevlex basis of I ∩ J, already in grevlex order."""
     if I.nvars != J.nvars:
         raise ValueError("ideals live in different rings")
     n = I.nvars
@@ -725,16 +686,14 @@ def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
         return I
     if ideal_equal(I, J):
         return I
-    lifted = [{(1,) + e: c for e, c in f.items()} for _, f in I._int_basis()]
+    lifted = [{(1,) + e + (0,): c for e, c in f.items()} for _, f in I._int_basis()]
     for _, g in J._int_basis():
-        h = {(1,) + e: -c for e, c in g.items()}
-        h.update(((0,) + e, c) for e, c in g.items())
+        h = {(1,) + e + (0,): -c for e, c in g.items()}
+        h.update(((0,) + e + (1,), c) for e, c in g.items())
         lifted.append(h)
-    # the t-free part of the reduced elimination basis is the reduced
-    # grevlex basis of the intersection
-    basis = _reduced_basis(lifted, elimination_order(1))
+    basis = _graded(lifted, elimination_order(1))
     kept = [
-        (lead[1:], {e[1:]: c for e, c in p.items()})
+        (lead[1:-1], {e[1:-1]: c for e, c in p.items()})
         for lead, p in basis
         if lead[0] == 0
     ]
@@ -765,8 +724,8 @@ def saturate(I: Ideal, J: Ideal) -> Ideal:
     variables v of J.  Each of these is read off one grevlex basis of I with
     v permuted to the last place: dividing every basis element by its largest
     power of v gives a basis of I : v^infinity (Bayer and Stillman, "A
-    criterion for detecting m-regularity", Invent. Math. 1987).  That needs
-    I homogeneous, so anything else is refused.
+    criterion for detecting m-regularity", Invent. Math. 1987), which needs
+    I homogeneous, as every Ideal is.
     """
     n = I.nvars
     if J.nvars != n:
@@ -778,8 +737,6 @@ def saturate(I: Ideal, J: Ideal) -> Ideal:
         variables.append(lead.index(1))
     if not variables:
         raise ValueError("saturate needs an ideal generated by variables")
-    if not all(map(_is_homogeneous, I._ints)):
-        raise ValueError("saturate needs a homogeneous ideal")
     keyf = GREVLEX.key
     parts = []
     for v in variables:

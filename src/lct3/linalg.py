@@ -166,19 +166,16 @@ class RatMatrix:
         return rank(self.entries, self.cols)
 
     def kernel_basis(self):
-        """Basis of the right kernel, itself in reduced echelon form.  With
+        """Basis of the right kernel, itself in reduced echelon form: the
+        integer_kernel vectors, each scaled to 1 at its free column.  With
         pivots taken right to left, each pivot row is zero right of its
         pivot, so the vector of a free column f is zero left of f and in
         every other free column."""
         reduced, pivots = echelon(self.entries, range(self.cols - 1, -1, -1))
-        vecs = []
-        for f in sorted(set(range(self.cols)) - set(pivots)):
-            v = [Fraction(0)] * self.cols
-            v[f] = Fraction(1)
-            for r, p in zip(reduced, pivots):
-                v[p] = Fraction(-r[f], r[p])
-            vecs.append(tuple(v))
-        return vecs
+        return [
+            tuple(Fraction(vec.get(j, 0), vec[f]) for j in range(self.cols))
+            for f, vec in integer_kernel(reduced, pivots, self.cols)
+        ]
 
     def __eq__(self, other):
         return isinstance(other, RatMatrix) and self.entries == other.entries

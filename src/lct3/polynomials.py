@@ -1,11 +1,9 @@
 """Exact sparse multivariate polynomials over the rationals.
 
 A polynomial is a mapping from exponent tuples to nonzero Fraction
-coefficients.  The default ring has the three variables x, y, z; an
-auxiliary fourth variable t (placed *first* in the term order, so that
-block orders eliminate it) is used internally for ideal intersection.  The
-t-lifted ideal is not homogeneous, so its Groebner basis is taken on its
-homogenization, with one more variable placed last (see `ideals`).
+coefficients.  The default ring has the three variables x, y, z; ideal
+intersection lifts to forms in two more, t placed *first* in the term
+order, so that block orders eliminate it, and h last (see `ideals`).
 
 All arithmetic is exact; floats are rejected on construction.
 """

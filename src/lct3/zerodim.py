@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import product
 from operator import add, sub
 
-from .ideals import Ideal, _basis_with_last, _divides, _is_homogeneous, _standard_count
+from .ideals import Ideal, _basis_with_last, _divides, _standard_count
 from .linalg import TRACE_PRIME, echelon, integer_kernel
 from .polynomials import GREVLEX
 
@@ -28,10 +28,7 @@ def hilbert_function(I: Ideal, t: int) -> int:
 
 def zero_dim_report(I: Ideal) -> ZeroDimReport:
     """Analyze a saturated homogeneous ideal in three variables: its
-    projective degree and, for a zero-dimensional scheme, reducedness.  An
-    ideal that is not homogeneous is refused."""
-    if not all(_is_homogeneous(g) for _, g in I._int_basis()):
-        raise ValueError("zero_dim_report needs a homogeneous ideal")
+    projective degree and, for a zero-dimensional scheme, reducedness."""
     degree = projective_degree(I)
     if not degree:
         return ZeroDimReport(False, 0, False)
@@ -115,11 +112,12 @@ def _chart_reduced(chart):
 
 
 def radical_zero_dim(I: Ideal) -> Ideal:
-    """Radical of a zero-dimensional affine ideal.  In characteristic 0 the
-    nilradical of A = k[x]/I is the kernel of the trace form of A, so the
-    radical is I plus the polynomials that kernel spans.  With pivots taken
-    left to right, each kernel vector (linalg.integer_kernel) is positive
-    in its last nonzero column, the leading one of the ascending basis."""
+    """Radical of a zero-dimensional ideal, which, being homogeneous, is
+    m-primary, with radical m.  In characteristic 0 the nilradical of
+    A = k[x]/I is the kernel of the trace form of A, so the radical is I
+    plus the polynomials that kernel spans.  With pivots taken left to
+    right, each kernel vector (linalg.integer_kernel) is positive in its
+    last nonzero column, the leading one of the ascending basis."""
     gb = I._int_basis()
     basis = _standard_monomials([lead for lead, _ in gb], I.nvars)
     n = len(basis)

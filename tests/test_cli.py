@@ -6,6 +6,8 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
+import pytest
+
 from lct3.cli import build_parser, input_digest, main
 
 COORD = {"points": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
@@ -401,17 +403,27 @@ def test_output_integers_of_any_length(tmp_path, capsys):
 
 
 def test_oversized_input_numbers_exit_2(tmp_path, capsys):
-    huge = "1" * 5000
+    # in exponent notation, too: the exponent is refused before any number
+    # is built, so even 10**(10**30 - 1) costs nothing
     with digit_limit(4300):
-        for argv in (
-            ["mi", write(tmp_path, COORD), "--lambda", huge],
-            ["jumps", write(tmp_path, COORD), "--lambda-max", huge],
-            ["verify", write(tmp_path, COORD), "--grid", f"1,{huge}"],
-            ["classify", write(tmp_path, {"points": [[huge, "1", "0"]]})],
+        for huge in (
+            "1" * 5000,
+            "1e5000",
+            "1e-5000",
+            "2.5E+9999",
+            "1e" + "9" * 30,
+            "1" * 300 + "e4100",  # digits and exponent pass the limit together
         ):
-            code, doc, err = run(capsys, argv)
-            assert code == 2 and doc is None
-            assert err.startswith("lct3: ")
+            for argv in (
+                ["mi", write(tmp_path, COORD), "--lambda", huge],
+                ["jumps", write(tmp_path, COORD), "--lambda-max", huge],
+                ["verify", write(tmp_path, COORD), "--grid", f"1,{huge}"],
+                ["classify", write(tmp_path, {"points": [[huge, "1", "0"]]})],
+            ):
+                code, doc, err = run(capsys, argv)
+                assert code == 2 and doc is None
+                assert err.startswith("lct3: ") and "exceeds the limit" in err.lower()
+        huge = "1" * 5000
         # a bare JSON integer is refused while the file is parsed
         bare = tmp_path / "bare.json"
         bare.write_text('{"points": [[' + huge + ", 1, 0]]}")
@@ -442,6 +454,50 @@ def test_repeated_point_is_named_whole(tmp_path, capsys):
     assert (code, doc) == (2, None)
     assert err.startswith("lct3: repeated point [1:")
     assert len(err) > 4300 and "Exceeds the limit" not in err
+
+
+def test_exponent_notation_within_the_digit_limit(tmp_path, capsys):
+    with digit_limit(4300):
+        code, doc, _ = run(capsys, ["mi", write(tmp_path, CONIC6), "--lambda", "0.125E1"])
+        assert code == 0 and doc["lambda"] == "5/4"
+        points = {"points": [["1e4299", "0", "0"], ["0", "1e-4299", "0"], ["0", "0", "1"]]}
+        code, doc, _ = run(capsys, ["classify", write(tmp_path, points)])
+        assert code == 0
+
+
+@pytest.mark.parametrize(
+    "doc, argv, read",
+    [
+        # the document (about 300 KB) outgrows the pipe's buffer, so the
+        # reader closes it while the writer still has most of it to write
+        ({"generator": {"general": 6, "seed": 1}}, ["mi", "--lambda", "4"], 100),
+        # a short document waits in stdout's buffer until it is flushed
+        (COORD, ["classify"], 0),
+    ],
+    ids=["while-printing", "at-the-flush"],
+)
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path, doc, argv, read):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    # stdout buffered, as by default
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    command, *flags = argv
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lct3", command, write(tmp_path, doc), *flags],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+        cwd=tmp_path,
+    )
+    try:
+        assert len(proc.stdout.read(read)) == read
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.wait()
+    assert "Traceback" not in err and "Error" not in err
 
 
 def test_module_entry_point_runs_the_cli(tmp_path):

@@ -295,7 +295,7 @@ def test_case_b_unique_curve(six_on_conic, three_collinear):
 
 
 # Noise-free gate on classify: fresh Groebner bases, the runs of the one
-# engine (inhomogeneous generators reach it homogenized), for one
+# engine (an intersection's homogeneous lift is one run), for one
 # classification from empty arrangement caches.  The counts may only go
 # down.
 GATE_GROEBNER_RUNS = {"eight-general": 18, "six-on-conic": 2}

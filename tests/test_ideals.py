@@ -2,7 +2,6 @@ import heapq
 import math
 import random
 from fractions import Fraction
-from itertools import product
 
 import pytest
 import sympy
@@ -31,14 +30,13 @@ from lct3 import (
     ideal_sum,
     maximal_ideal,
     monomials_of_degree,
-    poly_from_string,
     saturate,
     unit_ideal,
     variables,
     zero_ideal,
 )
 from lct3 import ideals
-from lct3.ideals import _autoreduce, _divides, _int_from_poly, _nf, _spoly
+from lct3.ideals import _divides, _int_from_poly, _nf, _spoly
 
 
 def gens(I):
@@ -70,7 +68,7 @@ def test_groebner_idempotent_and_deterministic():
 
 
 def test_unit_ideal_basis():
-    J = Ideal([X, Poly.constant(1, 3) - X])
+    J = Ideal([X * Y - Z * Z, Poly.constant(Fraction(-3, 2), 3), X])
     assert gens(J) == ["1"]
     assert J.is_unit()
 
@@ -95,8 +93,19 @@ def test_batched_membership_basics():
     assert list(conic._holds_each(forms, {})) == [True, False, False, True, True]
     with pytest.raises(ValueError, match="homogeneous forms"):
         list(conic._holds_each([{(1, 0, 0): 1, (0, 0, 0): 1}], {}))
-    with pytest.raises(ValueError, match="homogeneous ideal"):
-        list(Ideal([X + Y * Y])._holds_each([{(1, 0, 0): 1}], {}))
+    # an ideal that is not homogeneous never gets this far
+    with pytest.raises(ValueError, match="generators must be homogeneous"):
+        Ideal([X + Y * Y])
+
+
+def test_generators_must_be_homogeneous():
+    for p in (X * X - Y, X + Poly.constant(1, 3), Y**3 + X * Z - Z):
+        with pytest.raises(ValueError, match="generators must be homogeneous"):
+            Ideal([X, p])
+    # constants and zeros are forms: the unit ideal and a skipped generator
+    assert Ideal([Poly.constant(5, 3), X]).is_unit()
+    assert Ideal([Poly.zero(3), X * Y, Poly.zero(3)]).generators == (X * Y,)
+    assert Ideal([Poly.zero(3)], nvars=3).is_zero()
 
 
 def test_shared_dual_bases_are_reused_only_for_equal_pieces(monkeypatch):
@@ -216,19 +225,17 @@ def test_saturate_matches_the_quotient_chain(I, J):
 
 
 def test_saturate_refuses_what_it_cannot_compute():
-    m = maximal_ideal()
-    with pytest.raises(ValueError, match="homogeneous"):
-        saturate(Ideal([X * X - Y]), m)
     for J in (Ideal([X + Y]), Ideal([X * X, Y]), unit_ideal(), zero_ideal()):
         with pytest.raises(ValueError, match="variables"):
             saturate(Ideal([X * Y]), J)
 
 
 def test_eliminate_examples():
+    # the homogeneous lift of (x) ∩ (y), with z as the last variable h: its
+    # t-free part is h times the intersection
     t, x, y, z = variables(4)
-    one4 = Poly.constant(1, 4)
-    E = eliminate(Ideal([t * x, (one4 - t) * y]), 0)
-    assert [str(g) for g in E.groebner()] == ["x*y"]
+    E = eliminate(Ideal([t * x, (z - t) * y]), 0)
+    assert [str(g) for g in E.groebner()] == ["x*y*z"]
     E2 = eliminate(Ideal([X - Z, Y - Z]), 0)
     assert gens(E2) == ["y - z"]
     E3 = eliminate(Ideal([X * Y, X * Z, Y * Z]), 2)
@@ -308,8 +315,9 @@ def test_groebner_matches_sympy_on_random_ideals():
         polys = []
         for _ in range(rng.randint(2, 3)):
             terms = {}
+            monos = monomials_of_degree(rng.randint(1, 4))
             for _ in range(rng.randint(1, 3)):
-                e = tuple(rng.randint(0, 2) for _ in range(3))
+                e = rng.choice(monos)
                 terms[e] = terms.get(e, 0) + Fraction(rng.randint(-5, 5))
             p = Poly(terms, 3)
             if not p.is_zero():
@@ -407,8 +415,8 @@ def test_normal_form_beyond_any_key_width():
     assert I.contains(X * b) and not I.contains(x_big)
 
 
-# The graded engine (one degree at a time, inhomogeneous generators
-# homogenized first) against Buchberger's algorithm as the reference: both
+# The graded engine (one degree at a time) against Buchberger's algorithm
+# as the reference: both
 # return the reduced basis as (leading exponent, primitive integer
 # polynomial) pairs sorted by leading exponent, so they must agree term for
 # term.
@@ -462,7 +470,17 @@ def reference_buchberger(gens, order):
             lts.append(max(r, key=keyf))
             push_pairs(len(G) - 1)
 
-    return _autoreduce(G, order)
+    # auto-reduction: the elements whose leading exponent no other one
+    # divides, ascending; a tail term lies below its own lead, so only
+    # smaller leads divide it
+    kept, kept_lts = [], []
+    for g, lt in sorted(zip(G, lts), key=lambda t: keyf(t[1])):
+        if not any(_divides(l, lt) for l in kept_lts):
+            kept.append(g)
+            kept_lts.append(lt)
+    for idx in range(1, len(kept)):
+        kept[idx] = _nf(kept[idx], list(zip(kept_lts[:idx], kept[:idx])), order)
+    return sorted(zip(kept_lts, kept), key=lambda t: keyf(t[0]), reverse=True)
 
 
 @st.composite
@@ -561,23 +579,9 @@ def test_graded_engine_needs_no_normal_forms(monkeypatch):
         raise AssertionError("a normal form for homogeneous input")
 
     monkeypatch.setattr(ideals, "_nf", refuse)
-    monkeypatch.setattr(ideals, "_autoreduce", refuse)
     I = ideal_product(Ideal([X * X - Y * Z, X * Y - Z * Z, Y * Y]), maximal_ideal())
     assert len(I.groebner()) > len(monomials_of_degree(1))
     assert saturate(ideal_power(maximal_ideal(), 3), maximal_ideal()).is_unit()
-
-
-@st.composite
-def inhomogeneous_polys(draw, nvars):
-    """One to three integer polynomials in nvars variables, each with one to
-    four terms of degrees 0-3 (constants allowed), not all homogeneous."""
-    monos = [e for e in product(range(4), repeat=nvars) if sum(e) <= 3]
-    polys = []
-    for _ in range(draw(st.integers(1, 3))):
-        chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4))
-        polys.append(Poly({e: draw(st.integers(-3, 3)) for e in chosen}, nvars))
-    assume(not all(p.is_homogeneous() for p in polys))
-    return polys
 
 
 def _sympy_order(order):
@@ -589,12 +593,7 @@ def _sympy_order(order):
 
 def sympy_reference(polys, nvars, order):
     """The reduced Groebner basis by sympy's F5B (Buchberger's algorithm
-    with the F5 criteria), as monic Polys, leading monomials descending.
-    reference_buchberger picks pairs by lcm degree and keeps unreduced
-    intermediate elements, and on some inhomogeneous draws their
-    coefficients reach tens of thousands of bits, so that it runs for
-    minutes; F5B took 0.4 and 1.7 s on two such draws (SLOW_FOR_BUCHBERGER)
-    and at most 0.12 s on 2000 others."""
+    with the F5 criteria), as monic Polys, leading monomials descending."""
     R, *_ = ring([f"v{i}" for i in range(nvars)], sympy.QQ, _sympy_order(order))
     seq = [
         R.from_dict({e: sympy.QQ(c.numerator, c.denominator) for e, c in p.terms.items()})
@@ -609,52 +608,32 @@ def sympy_reference(polys, nvars, order):
     return tuple(g.monic(order) for g in basis)
 
 
-def assert_matches_reference(polys, nvars, order):
-    from lct3 import ideals
-
-    expected = sympy_reference(polys, nvars, order)
-    ints = [ideals._int_from_poly(p, order.key) for p in dict.fromkeys(polys) if not p.is_zero()]
-    basis = ideals._reduced_basis(ints, order)
-    assert tuple(ideals._poly_from_int(p, lead, nvars) for lead, p in basis) == expected
-    if order == GREVLEX:
-        assert Ideal(polys, nvars=nvars).groebner() == expected
-
-
-# Two draws on which reference_buchberger ran past 120 s.
-SLOW_FOR_BUCHBERGER = [
-    [
-        poly_from_string(text, 4)
-        for text in (first, "2*x^3 - t*x + 2*y*z + 2", "-2*y^3 + t^2*z + z^3 - 2*t^2")
-    ]
-    for first in ("2*t*x*z + 3*y - 3", "3*x^3 + 2*y - 3")
-]
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    case=st.integers(2, 4).flatmap(lambda n: st.tuples(st.just(n), inhomogeneous_polys(n))),
-    order=st.sampled_from([GREVLEX, LEX, elimination_order(1)]),
-)
-@example(case=(4, SLOW_FOR_BUCHBERGER[0]), order=LEX)
-@example(case=(4, SLOW_FOR_BUCHBERGER[1]), order=LEX)
-def test_inhomogeneous_bases_match_buchberger(case, order):
-    nvars, polys = case
-    assert_matches_reference(polys, nvars, order)
-
-
-def test_inhomogeneous_bases_of_the_package_match_buchberger():
-    # the t-lift of two point ideals, as ideal_intersect builds it
-    t, one = Poly.variable(0, 4), Poly.constant(1, 4)
+def test_homogeneous_lift_of_an_intersection(monkeypatch):
+    # ideal_intersect's lift of two point ideals, in (t, x, y, z, h): t*f
+    # and h*g - t*g.  The engine's elimination basis is sympy's, and its
+    # t-free part is h times the reduced basis of the intersection, which
+    # ideal_intersect reads off one engine run.
+    t, h = Poly.variable(0, 5), Poly.variable(4, 5)
     first = ideal_of_points(PointSet.of([(1, 2, 3), (0, 1, -1)]))
     second = ideal_of_points(PointSet.of([(2, -1, 1)]))
-    lift = [t * f.insert_var(0) for f in first.groebner()]
-    lift += [(one - t) * g.insert_var(0) for g in second.groebner()]
-    assert_matches_reference(lift, 4, elimination_order(1))
-    # the chart z = 1 of three points, as zero_dim_report reads it
-    points = ideal_of_points(PointSet.of([(1, 0, 1), (0, 1, 1), (2, 3, 1)]))
-    chart = [g.set_var_one(2) for g in points.groebner()]
-    assert_matches_reference(chart, 2, GREVLEX)
-    assert_matches_reference(chart, 2, LEX)
+    lift = [t * f.insert_var(0).insert_var(4) for f in first.groebner()]
+    lift += [(h - t) * g.insert_var(0).insert_var(4) for g in second.groebner()]
+    order = elimination_order(1)
+    basis = ideals._graded([_int_from_poly(p, order.key) for p in lift], order)
+    assert tuple(ideals._poly_from_int(p, lead, 5) for lead, p in basis) == (
+        sympy_reference(lift, 5, order)
+    )
+    t_free = [(lead, p) for lead, p in basis if lead[0] == 0]
+    assert t_free and all(e[0] == 0 and e[4] == 1 for _, p in t_free for e in p)
+    runs = []
+    graded = ideals._graded
+    monkeypatch.setattr(ideals, "_graded", lambda *args: runs.append(args) or graded(*args))
+    meet = ideal_intersect(first, second)
+    assert len(runs) == 1
+    assert all(len({sum(e) for e in g}) == 1 for g in runs[0][0])
+    assert [(lead[1:-1], {e[1:-1]: c for e, c in p.items()}) for lead, p in t_free] == list(
+        meet._int_basis()
+    )
 
 
 # The integer-native calculus against the Fraction side: products of the

@@ -359,8 +359,9 @@ def test_truncation_of_a_homogeneous_ideal_is_the_meet(build):
 
 
 def test_truncation_rejects_an_inhomogeneous_ideal():
-    with pytest.raises(ValueError, match="homogeneous ideal"):
-        truncation(Ideal([X + Y * Y]), 2)
+    # truncation never sees one: the constructor refuses it
+    with pytest.raises(ValueError, match="generators must be homogeneous"):
+        Ideal([X + Y * Y])
 
 
 def test_truncation_keeps_the_ring():
