@@ -24,7 +24,7 @@ from .multiplier import (
     multiplier_ideal,
 )
 from .points import PointSet, SamplingError, general_points
-from .polynomials import poly_str
+from .polynomials import form_str, poly_str, var_names
 from .verify import cross_check
 
 EXIT_OK = 0
@@ -79,8 +79,9 @@ def any_length():
 
 
 def ideal_generators(I) -> list:
+    names = var_names(I.nvars)
     with any_length():
-        return [poly_str(g) for g in I.groebner()] or ["0"]
+        return [form_str(p, p[lead], names) for lead, p in I._int_basis()] or ["0"]
 
 
 def classification_doc(c) -> dict:
@@ -155,7 +156,7 @@ def load_arrangement(path: str, seed_override=None):
             for j, coord in enumerate(entry):
                 if isinstance(coord, float):
                     raise InputError(f"points[{i}][{j}]: floats are not exact")
-                if not isinstance(coord, (str, int)):
+                if type(coord) not in (str, int):  # a bool is an int
                     raise InputError(f"points[{i}][{j}]: expected a rational string")
                 try:
                     triple.append(exact_fraction(str(coord)))
@@ -172,12 +173,12 @@ def load_arrangement(path: str, seed_override=None):
         if not isinstance(gen, dict) or "general" not in gen:
             raise InputError("field 'generator': expected {'general': n, 'seed': s}")
         n = gen["general"]
-        if not isinstance(n, int) or not 1 <= n <= MAX_GENERATED_POINTS:
+        if type(n) is not int or not 1 <= n <= MAX_GENERATED_POINTS:
             raise InputError(
                 f"generator.general: expected an integer in 1..{MAX_GENERATED_POINTS}"
             )
         seed = seed_override if seed_override is not None else gen.get("seed")
-        if not isinstance(seed, int):
+        if type(seed) is not int:
             raise InputError("generator.seed: an integer seed is required")
         try:
             Z = general_points(n, seed)

@@ -6,13 +6,14 @@ An Ideal has one representation: its generators as integer-coefficient
 coefficient under grevlex) and its cached reduced grevlex basis in the same
 form, so that the calculus stays in exact integer arithmetic.  Every
 generator is a form: the constructor refuses a Poly that is not
-homogeneous, and converts the others where they come in; the monic
-Fraction basis of groebner() and the Poly generators are built only when
-asked for.  Other orders appear only inside intersection and elimination,
-which pass them to the engine directly; intersection lifts to forms in two
-more variables (`ideal_intersect`).  One engine, `_graded`, builds every
-basis one degree at a time: each degree is one `linalg.echelon`
-elimination, whose pivot rows are the new basis elements, already reduced.
+homogeneous, and converts the others where they come in.  Documents print
+the integer basis (`polynomials.form_str`); the monic Fraction basis of
+groebner() is public API only.  Other orders appear only inside
+intersection and elimination, which pass them to the engine directly;
+intersection lifts to forms in two more variables (`ideal_intersect`).
+One engine, `_graded`, builds every basis one degree at a time: each
+degree is one `linalg.echelon` elimination, whose pivot rows are the new
+basis elements, already reduced.
 
 Saturation is closed-form and only for what the package needs: a
 homogeneous ideal by an ideal of variables, such as the irrelevant ideal
@@ -35,7 +36,9 @@ from .polynomials import (
     MonomialOrder,
     Poly,
     elimination_order,
+    form_str,
     monomials_of_degree,
+    var_names,
 )
 
 IntPoly = dict  # exponent tuple -> int coefficient
@@ -520,7 +523,7 @@ class Ideal:
         return self._basis
 
     def groebner(self):
-        """The reduced, monic, auto-reduced basis (deterministic, cached)."""
+        """The reduced basis as monic Fraction Polys (cached); no command reads it."""
         if self._gb is None:
             gb = tuple(_poly_from_int(p, lead, self.nvars) for lead, p in self._int_basis())
             object.__setattr__(self, "_gb", gb)
@@ -581,8 +584,9 @@ class Ideal:
         return tuple(lead for lead, _ in self._int_basis())
 
     def __repr__(self):
-        gens = ", ".join(str(g) for g in self.groebner()) or "0"
-        return f"Ideal({gens})"
+        names = var_names(self.nvars)
+        gens = ", ".join(form_str(p, p[lead], names) for lead, p in self._int_basis())
+        return f"Ideal({gens or '0'})"
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from .ideals import (
     Ideal,
     _exact_quotient,
     _int_from_poly,
+    _int_mul,
     _is_homogeneous,
     ideal_equal,
     ideal_product,
@@ -171,10 +172,12 @@ def _closed_form(c: Classification, Z: PointSet, terms) -> Ideal:
         if K == "1":
             parts.append(truncation(unit_ideal(3), k))
         elif K in ("F", "F2"):
-            F = c.curve_form if K == "F" else c.curve_form**2
-            G = _int_from_poly(F, GREVLEX.key)
+            # by Gauss's lemma the square is primitive, with positive lead
+            G = _int_from_poly(c.curve_form, GREVLEX.key)
+            if K == "F2":
+                G = _int_mul(G, G)
             principal = Ideal._from_basis([(max(G, key=GREVLEX.key), G)], 3)
-            parts.append(truncation(principal, k + F.total_degree()))
+            parts.append(truncation(principal, k + sum(next(iter(G)))))
         else:
             parts.append(truncation(ideal_of_points(Z) if K == "Z" else c.zd_ideal, k))
     if len(parts) == 1:

@@ -1,18 +1,21 @@
 """Exact sparse multivariate polynomials over the rationals.
 
 A polynomial is a mapping from exponent tuples to nonzero Fraction
-coefficients.  The default ring has the three variables x, y, z; ideal
-intersection lifts to forms in two more, t placed *first* in the term
-order, so that block orders eliminate it, and h last (see `ideals`).
+coefficients.  Poly is the input and output type: `ideals` computes on
+primitive integer forms, and `form_str` prints them.  The default ring
+has the three variables x, y, z; ideal intersection lifts to forms in two
+more, t placed *first* in the term order, so that block orders eliminate
+it, and h last (see `ideals`).
 
 All arithmetic is exact; floats are rejected on construction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 Exponent = tuple  # tuple[int, ...], one entry per variable
 
@@ -214,91 +217,6 @@ class Poly:
             object.__setattr__(self, "_hash", h)
         return h
 
-    # -- calculus / evaluation ---------------------------------------------
-
-    def diff(self, i: int) -> "Poly":
-        """Partial derivative with respect to variable i."""
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            d = list(e)
-            d[i] -= 1
-            out[tuple(d)] = c * e[i]
-        return Poly(out, self.nvars)
-
-    def evaluate(self, point: Iterable) -> Fraction:
-        vals = [_as_fraction(v) for v in point]
-        if len(vals) != self.nvars:
-            raise ValueError("point has wrong length")
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            term = c
-            for v, k in zip(vals, e):
-                term *= v**k
-            total += term
-        return total
-
-    # -- divisibility ------------------------------------------------------
-
-    def exact_div(self, q: "Poly"):
-        """Return self / q when q divides self exactly, else None, by long
-        division on a working dict."""
-        self._check_ring(q)
-        if q.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        qlt = q.leading_monomial()
-        qlc = q.terms[qlt]
-        work = dict(self.terms)
-        quot: dict = {}
-        while work:
-            lt = max(work, key=grevlex_key)
-            e = tuple(a - b for a, b in zip(lt, qlt))
-            if min(e) < 0:
-                return None
-            c = quot[e] = work[lt] / qlc
-            for f, d in q.terms.items():
-                m = tuple(a + b for a, b in zip(e, f))
-                v = work.get(m, 0) - c * d
-                if v:
-                    work[m] = v
-                else:
-                    del work[m]
-        return Poly(quot, self.nvars)
-
-    # -- ring changes ------------------------------------------------------
-
-    def insert_var(self, i: int) -> "Poly":
-        """Embed into the ring with one extra variable at position i."""
-        out = {e[:i] + (0,) + e[i:]: c for e, c in self.terms.items()}
-        return Poly(out, self.nvars + 1)
-
-    def drop_var(self, i: int) -> "Poly":
-        """Remove variable i; every term must have exponent 0 there."""
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] != 0:
-                raise ValueError("polynomial involves the dropped variable")
-            out[e[:i] + e[i + 1 :]] = c
-        return Poly(out, self.nvars - 1)
-
-    def set_var_one(self, i: int) -> "Poly":
-        """Dehomogenize: substitute 1 for variable i and drop it from the ring."""
-        out: dict = {}
-        for e, c in self.terms.items():
-            d = e[:i] + e[i + 1 :]
-            s = out.get(d, 0) + c
-            if s:
-                out[d] = s
-            else:
-                out.pop(d, None)
-        return Poly(out, self.nvars - 1)
-
-    def permute(self, perm: tuple) -> "Poly":
-        """Reindex variables: new exponent j is old exponent perm[j]."""
-        out = {tuple(e[p] for p in perm): c for e, c in self.terms.items()}
-        return Poly(out, self.nvars)
-
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
@@ -306,9 +224,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({poly_str(self)!r})"
-
-    def sorted_terms(self, order: MonomialOrder = GREVLEX) -> list:
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
 
 
 # convenient handles on the default ring
@@ -349,26 +264,35 @@ def _mono_str(e: Exponent, names: tuple) -> str:
     return "*".join(parts)
 
 
-def poly_str(p: Poly, names: tuple = None) -> str:
-    """Canonical rendering: grevlex-descending terms, coefficients as p/q."""
-    if p.is_zero():
-        return "0"
-    names = names or var_names(p.nvars)
+def form_str(form: Mapping, den: int, names: tuple) -> str:
+    """Canonical rendering of an integer form divided by the positive
+    integer den: grevlex-descending terms, coefficients as p/q in lowest
+    terms.  A basis element p with leading exponent lead prints monic as
+    form_str(p, p[lead], names)."""
     out = []
-    for e, c in p.sorted_terms():
+    for e in sorted(form, key=grevlex_key, reverse=True):
+        c = form[e]
+        g = math.gcd(c, den)
+        mag = f"{abs(c) // g}/{den // g}" if den != g else str(abs(c) // g)
         mono = _mono_str(e, names)
-        mag = abs(c)
-        if mono and mag == 1:
+        if mono and mag == "1":
             body = mono
         elif mono:
             body = f"{mag}*{mono}"
         else:
-            body = str(mag)
+            body = mag
         if not out:
             out.append(body if c > 0 else f"-{body}")
         else:
             out.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(out)
+    return " ".join(out) or "0"
+
+
+def poly_str(p: Poly, names: tuple = None) -> str:
+    """form_str of p's numerators over the lcm of its denominators."""
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    form = {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+    return form_str(form, den, names or var_names(p.nvars))
 
 
 def poly_from_string(s: str, nvars: int = 3, names: tuple = None) -> Poly:

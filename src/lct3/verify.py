@@ -10,17 +10,11 @@ from itertools import tee
 from operator import add
 
 from .envelopes import classify
-from .ideals import (
-    _int_from_poly,
-    _int_mul,
-    _poly_from_int,
-    ideal_equal,
-    ideal_product,
-)
+from .ideals import _int_from_poly, _int_mul, ideal_equal, ideal_product
 from .multiplier import _capped, _lookup, _valuation_memberships, as_lambda
 from .newton import monomial_mi
 from .points import PointSet, hilbert_pieces, ideal_of_points
-from .polynomials import GREVLEX, monomials_of_degree
+from .polynomials import GREVLEX, form_str, monomials_of_degree, var_names
 
 ORACLE_DEGREE_BOUND = 8
 ORACLE_POWER_BOUND = 3
@@ -93,12 +87,11 @@ def cross_check(Z: PointSet, lam_grid) -> CrossCheckReport:
     memo: dict = {}  # one memo for the grid, so each exponent is assembled once
     assembled = {lam: _lookup(c, Z, _capped(lam), memo).ideal for lam in grid}
 
-    gens = IZ.groebner()
-    if all(len(g.terms) == 1 for g in gens):
+    if all(len(p) == 1 for _, p in IZ._int_basis()):
         bad = [
             str(lam)
             for lam in grid
-            if not ideal_equal(assembled[lam], monomial_mi(gens, lam))
+            if not ideal_equal(assembled[lam], monomial_mi(IZ.leading_exponents(), lam))
         ]
         entries.append(
             CheckResult(
@@ -129,7 +122,7 @@ def cross_check(Z: PointSet, lam_grid) -> CrossCheckReport:
             for G, answers, member in zip(forms, oracle, members):
                 if answers[i] != member:
                     # the monic form, m * F^a with the monic curve form
-                    named = _poly_from_int(G, max(G, key=GREVLEX.key), 3)
+                    named = form_str(G, G[max(G, key=GREVLEX.key)], var_names(3))
                     witness = f"lambda={lam}, form={named}"
                     break
             if witness:

@@ -2,8 +2,14 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from lct3 import PointSet, general_points
+
+# Every run draws the same examples, so two runs of one commit agree; each
+# test's own max_examples and deadline still apply.
+settings.register_profile("pinned", derandomize=True, database=None)
+settings.load_profile("pinned")
 
 
 @pytest.fixture

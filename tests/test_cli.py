@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from lct3 import Ideal
 from lct3.cli import build_parser, input_digest, main
 
 COORD = {"points": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
@@ -226,6 +227,31 @@ def test_parse_errors_exit_2(tmp_path, capsys):
 
     code, _, err = run(capsys, ["mi", write(tmp_path, COORD), "--lambda", "three"])
     assert code == 2
+
+    # a JSON boolean is not an integer, though Python's bool is an int
+    for doc, message in [
+        ({"generator": {"general": True, "seed": False}}, "expected an integer in 1.."),
+        ({"generator": {"general": 3, "seed": False}}, "an integer seed is required"),
+        ({"points": [[True, "0", "0"]]}, "points[0][0]: expected a rational string"),
+    ]:
+        code, _, err = run(capsys, ["classify", write(tmp_path, doc)])
+        assert code == 2 and message in err, doc
+
+
+def test_no_command_builds_the_fraction_basis(tmp_path, capsys, monkeypatch):
+    # every document prints the integer basis, in each case kind
+    def refuse(I):
+        raise AssertionError("a command asked for the monic Fraction basis")
+
+    monkeypatch.setattr(Ideal, "groebner", refuse)
+    eight_general = {"generator": {"general": 8, "seed": 42}}
+    for variant, doc in [("CaseA", COORD), ("CaseB", COLLINEAR), ("CaseC", eight_general)]:
+        path = write(tmp_path, doc)
+        for argv in (["classify"], ["mi", "--lambda", "5/2"], ["lct"], ["jumps"]):
+            code, out, _ = run(capsys, [argv[0], path] + argv[1:])
+            assert code == 0 and out["classification"]["variant"] == variant, argv
+        code, out, _ = run(capsys, ["verify", path])
+        assert code == 0 and out["ok"], variant
 
 
 def calls_in_one_process(capsys, argvs, fresh):

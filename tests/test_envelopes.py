@@ -91,7 +91,11 @@ def test_smoothness():
 def smooth_by_groebner(F) -> bool:
     """The reference the rank test replaced: F and its partials vanish
     together nowhere, i.e. their ideal has Hilbert polynomial 0."""
-    J = Ideal([F, F.diff(0), F.diff(1), F.diff(2)], nvars=3)
+    partials = [
+        Poly({e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in F.terms.items() if e[i]}, 3)
+        for i in range(3)
+    ]
+    J = Ideal([F, *partials], nvars=3)
     return hilbert_polynomial(J) == (0, 0)
 
 

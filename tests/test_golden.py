@@ -1,4 +1,4 @@
-"""Round 0 of two benchmark workloads at their default seed, replayed
+"""Round 0 of each benchmark workload at its default seed, replayed
 in-process against perfbench/golden.json: exit code and stdout SHA-256 of
 each op.  The perfbench files are read, never written."""
 
@@ -44,3 +44,14 @@ def test_classify_general_round_0_matches_golden(monkeypatch):
     ops = replay_round_0(monkeypatch, "classify-general")
     case_b = {op.id.split(".", 2)[2] for op in ops if op.expect.get("variant") == "CaseB"}
     assert {"classify-n9-0", "classify-n14-0"} <= case_b
+
+
+def test_classify_finite_round_0_matches_golden(monkeypatch):
+    # Case C documents print the w_generators and zd_generators bases
+    ops = replay_round_0(monkeypatch, "classify-finite")
+    assert all(op.expect.get("variant") == "CaseC" for op in ops)
+
+
+def test_skoda_round_0_matches_golden(monkeypatch):
+    # the largest documents: Skoda products printed by mi and jumps
+    replay_round_0(monkeypatch, "skoda")

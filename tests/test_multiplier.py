@@ -2,7 +2,9 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings, strategies as st
+from sympy.polys.rings import ring
 
 from lct3 import (
     Poly,
@@ -218,14 +220,20 @@ def reference_membership_by_valuation(c, Z_, G, lam):
         return False
     if c.kind == "A":
         return G.total_degree() >= math.floor(lam * c.d) - 2
-    d, e, F = c.d, c.e, c.curve_form
-    H, a = G, 0
+    # F divides G a times: sympy's division over QQ leaves remainder 0
+    # exactly where F divides, as F alone is a Groebner basis of (F)
+    d, e = c.d, c.e
+    R, *_ = ring("x,y,z", sympy.QQ)
+    to_ring = lambda p: R.from_dict(
+        {m: sympy.QQ(v.numerator, v.denominator) for m, v in p.terms.items()}
+    )
+    H, F, a = to_ring(G), to_ring(c.curve_form), 0
     while True:
-        q = H.exact_div(F)
-        if q is None:
+        q, r = H.div(F)
+        if r:
             break
         H, a = q, a + 1
-    degH = H.total_degree()
+    degH = G.total_degree() - a * d
     return all(
         degH + (d + j) * a >= math.floor(lam * (d + j)) - (2 + j)
         for j in range(e - d + 1)

@@ -2,27 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lct3 import GREVLEX, Poly, X, Y, Z, monomials_of_degree, poly_from_string, poly_str
-from lct3.polynomials import elimination_order, grevlex_key
+from lct3.cli import any_length
+from lct3.polynomials import elimination_order, form_str, grevlex_key
 
 
 def test_difference_of_squares():
     assert (X + Y) * (X - Y) == X * X - Y * Y
-
-
-def test_exact_divide_factored():
-    p = X * X * Y + X * Y * Y
-    assert p.exact_div(X + Y) == X * Y
-
-
-def test_exact_divide_fails():
-    assert (X * Y + Z * Z).exact_div(X) is None
-
-
-def test_divide_by_zero_rejected():
-    with pytest.raises(ZeroDivisionError):
-        X.exact_div(Poly.zero(3))
 
 
 def test_monomials_of_degree_small():
@@ -86,18 +74,6 @@ def test_elimination_order_blocks():
     assert order.key((1, 0, 0, 0)) > order.key((0, 5, 5, 5))
 
 
-def test_diff():
-    p = X**3 + 2 * X * Y * Z
-    assert p.diff(0) == 3 * X * X + 2 * Y * Z
-    assert p.diff(2) == 2 * X * Y
-
-
-def test_evaluate():
-    p = X * X - Y * Z
-    assert p.evaluate((Fraction(2), Fraction(1), Fraction(4))) == 0
-    assert p.evaluate((1, 1, 0)) == 1
-
-
 def test_render_parse_round_trip():
     rng = random.Random(11)
     for _ in range(30):
@@ -115,8 +91,47 @@ def test_render_examples():
     assert poly_str(Poly.constant(Fraction(-3, 7), 3)) == "-3/7"
 
 
-def test_set_var_one_dehomogenizes():
-    p = X * X * Z - Y * Y * Y
-    q = p.set_var_one(2)
-    assert q.nvars == 2
-    assert q == Poly({(2, 0): 1, (0, 3): -1}, 2)
+def fraction_str(form, den, names) -> str:
+    """The rendering form_str replaced: each term's Fraction(c, den) by
+    poly_str's rules, terms in descending grevlex order."""
+    out = []
+    for e in sorted(form, key=grevlex_key, reverse=True):
+        c = Fraction(form[e], den)
+        mono = "*".join(n if k == 1 else f"{n}^{k}" for n, k in zip(names, e) if k)
+        mag = abs(c)
+        body = mono if mono and mag == 1 else f"{mag}*{mono}" if mono else str(mag)
+        if not out:
+            out.append(body if c > 0 else f"-{body}")
+        else:
+            out.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(out) or "0"
+
+
+int_forms = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 3), st.integers(-40, 40).filter(bool), max_size=7
+)
+LONG = 7**6000  # 5071 digits, past the interpreter's default limit of 4300
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    form=int_forms,
+    den=st.one_of(st.just(1), st.just("lead"), st.integers(2, 90)),
+    scale=st.sampled_from((1, LONG)),
+    rng=st.randoms(use_true_random=False),
+)
+@example(form={(0, 0, 0): -3}, den=7, scale=1, rng=random.Random(0))
+@example(form={(0, 0, 0): 6, (0, 0, 1): -1}, den="lead", scale=LONG, rng=random.Random(0))
+@example(form={(0, 0, 2): 1, (2, 0, 0): -2, (1, 1, 0): 4}, den=1, scale=1, rng=random.Random(0))
+def test_form_str_matches_the_fraction_rendering(form, den, scale, rng):
+    # the exponents come in any order: form_str sorts them itself
+    items = [(e, c * scale) for e, c in form.items()]
+    rng.shuffle(items)
+    form = dict(items)
+    if den == "lead":  # the monic text of a basis element
+        lead = max(form, key=grevlex_key, default=None)
+        if lead is not None and form[lead] < 0:
+            form = {e: -c for e, c in form.items()}
+        den = form[lead] if lead is not None else 1
+    with any_length():
+        assert form_str(form, den, ("x", "y", "z")) == fraction_str(form, den, ("x", "y", "z"))

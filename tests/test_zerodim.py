@@ -30,7 +30,7 @@ from lct3 import (
     variables,
     zero_dim_report,
 )
-from lct3 import ideals, polynomials, zerodim
+from lct3 import ideals, zerodim
 from lct3.linalg import TRACE_PRIME
 
 
@@ -332,12 +332,11 @@ def test_trace_matrix_matches_sympy_normal_forms(ideal, v):
 
 def test_report_on_a_kept_basis_builds_no_groebner_basis(monkeypatch, eight_general):
     # the envelope's own basis is the chart z = 1, which decides alone: no
-    # basis is computed, and no chart ideal or monic basis is built
+    # basis is computed, and no monic basis is built
     zd = classify(eight_general).zd_ideal
     runs, built = [], []
     monkeypatch.setattr(ideals, "_graded", lambda *args: runs.append(args))
     monkeypatch.setattr(ideals.Ideal, "groebner", lambda I: built.append(I))
-    monkeypatch.setattr(polynomials.Poly, "set_var_one", lambda *a: built.append(a))
     assert zero_dim_report(zd) == ZeroDimReport(True, 9, True)
     assert runs == [] and built == []
 
