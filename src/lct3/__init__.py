@@ -53,13 +53,11 @@ from .points import (
 )
 from .polynomials import (
     GREVLEX,
-    LEX,
     MonomialOrder,
     Poly,
     X,
     Y,
     Z,
-    elimination_order,
     monomials_of_degree,
     poly_from_string,
     poly_str,

@@ -79,7 +79,7 @@ def any_length():
 
 
 def ideal_generators(I) -> list:
-    names = var_names(I.nvars)
+    names = var_names(3)
     with any_length():
         return [form_str(p, p[lead], names) for lead, p in I._int_basis()] or ["0"]
 

@@ -18,7 +18,7 @@ from operator import add
 from .ideals import Ideal, _int_from_poly, ideal_quotient, maximal_ideal, saturate
 from .linalg import rank
 from .points import CACHE_SIZE, PointSet, graded_piece, hilbert_pieces, ideal_of_points
-from .polynomials import GREVLEX, Poly, monomials_of_degree
+from .polynomials import Poly, monomials_of_degree
 from .zerodim import hilbert_polynomial, zero_dim_report
 
 CURVE = "curve"
@@ -161,7 +161,7 @@ def is_smooth_plane_curve(F: Poly) -> bool:
     if F.is_zero() or not F.is_homogeneous() or F.total_degree() < 1:
         raise ValueError("expected a nonzero homogeneous form of positive degree")
     T = max(3 * F.total_degree() - 5, 0)
-    G = _int_from_poly(F, GREVLEX.key)
+    G = _int_from_poly(F)
     partials = [
         {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in G.items() if e[i]}
         for i in range(3)

@@ -1,16 +1,18 @@
-"""Homogeneous-ideal calculus: Groebner bases, membership, sum, truncation,
-product, power, intersection, quotient, saturation, elimination, equality.
+"""Homogeneous-ideal calculus in k[x, y, z]: Groebner bases, membership,
+sum, truncation, product, power, intersection, quotient, saturation,
+elimination, equality.
 
 An Ideal has one representation: its generators as integer-coefficient
 "primitive" polynomials (dict exponent -> int, content 1, positive leading
 coefficient under grevlex) and its cached reduced grevlex basis in the same
-form, so that the calculus stays in exact integer arithmetic.  Every
-generator is a form: the constructor refuses a Poly that is not
-homogeneous, and converts the others where they come in.  Documents print
+form, so that the calculus stays in exact integer arithmetic.  A Poly is
+checked and converted once, where it comes in (`_int_from_poly`): the
+constructor refuses one that is not a form of k[x, y, z].  Documents print
 the integer basis (`polynomials.form_str`); the monic Fraction basis of
-groebner() is public API only.  Other orders appear only inside
-intersection and elimination, which pass them to the engine directly;
-intersection lifts to forms in two more variables (`ideal_intersect`).
+groebner() is public API only.  The one other order, ELIMINATION, appears
+only inside intersection and elimination, which pass it to the engine
+directly; intersection lifts to forms in two more variables
+(`ideal_intersect`).
 One engine, `_graded`, builds every basis one degree at a time: each
 degree is one `linalg.echelon` elimination, whose pivot rows are the new
 basis elements, already reduced.
@@ -32,11 +34,12 @@ from operator import add, le, sub
 
 from .linalg import echelon, integer_kernel
 from .polynomials import (
+    ELIMINATION,
     GREVLEX,
     MonomialOrder,
     Poly,
-    elimination_order,
     form_str,
+    grevlex_key,
     monomials_of_degree,
     var_names,
 )
@@ -69,14 +72,19 @@ def _normalize(p: IntPoly, lead) -> IntPoly:
     return {e: c // g for e, c in p.items()}
 
 
-def _int_from_poly(p: Poly, keyf) -> IntPoly:
+def _int_from_poly(p: Poly) -> IntPoly:
+    """The primitive integer polynomial of p, with a positive grevlex leading
+    coefficient; {} for p = 0.  The one check of the ring: a Poly outside
+    k[x, y, z] raises ValueError."""
+    if p.nvars != 3:
+        raise ValueError(f"polynomial in {p.nvars} variables, not in k[x, y, z]")
     if p.is_zero():
         return {}
     den = 1
     for c in p.terms.values():
         den = den * c.denominator // math.gcd(den, c.denominator)
     out = {e: int(c * den) for e, c in p.terms.items()}
-    return _normalize(out, max(out, key=keyf))
+    return _normalize(out, max(out, key=grevlex_key))
 
 
 def _distinct(forms) -> tuple:
@@ -87,11 +95,11 @@ def _distinct(forms) -> tuple:
     return tuple(kept.values())
 
 
-def _poly_from_int(p: IntPoly, lead, nvars: int) -> Poly:
-    """Monic Fraction polynomial from an integer polynomial with leading
-    exponent lead."""
+def _poly_from_int(p: IntPoly, lead) -> Poly:
+    """Monic Fraction polynomial from an integer form with leading exponent
+    lead."""
     lc = p[lead]
-    return Poly({e: Fraction(c, lc) for e, c in p.items()}, nvars)
+    return Poly({e: Fraction(c, lc) for e, c in p.items()}, 3)
 
 
 def _is_homogeneous(p: IntPoly) -> bool:
@@ -107,11 +115,9 @@ def _divides(a, b) -> bool:
     return all(map(le, a, b))
 
 
-def _standard_count(lts, d: int, nvars: int = 3) -> int:
+def _standard_count(lts, d: int) -> int:
     """The number of degree-d monomials that no exponent of lts divides."""
-    return sum(
-        not any(_divides(lt, m) for lt in lts) for m in monomials_of_degree(d, nvars)
-    )
+    return sum(not any(_divides(lt, m) for lt in lts) for m in monomials_of_degree(d))
 
 
 def _nf(p: IntPoly, basis, order: MonomialOrder) -> IntPoly:
@@ -210,7 +216,7 @@ def _graded(gens, order: MonomialOrder, floor=None):
     exponents descending; of order it reads only order.key.
 
     floor = (s0, N), when given, states that for every s >= s0 the ideal's
-    degree-s piece has dimension at most C(s + 2, 2) - N (three variables).
+    degree-s piece has dimension at most C(s + 2, 2) - N.
     At such a degree, if the leading exponents found so far leave exactly N
     standard monomials, their shifts already span a subspace of the piece of
     that dimension, so the piece has no other leading monomial: every row of
@@ -339,7 +345,7 @@ def _exact_quotient(h: IntPoly, g: IntPoly, lead):
     return quot
 
 
-def _macaulay_rows(basis, t: int, nvars: int):
+def _macaulay_rows(basis, t: int):
     """(monos, standard, rows) for the degree-t piece J_t of a homogeneous
     ideal with reduced grevlex basis `basis`: the degree-t monomials,
     descending, the standard ones, and J_t's Macaulay rows, one shift of a
@@ -347,7 +353,7 @@ def _macaulay_rows(basis, t: int, nvars: int):
     order of monos; rows is None where the monomials that are not standard
     span J_t.  The rows have distinct leading monomials, so they are a basis
     of J_t: its dimension is the number of initial monomials."""
-    monos = monomials_of_degree(t, nvars)
+    monos = monomials_of_degree(t)
     index = {m: k for k, m in enumerate(monos)}
     rows, standard = [], []
     for m in monos:
@@ -391,7 +397,7 @@ def _pairs_to_zero(p: IntPoly, touched) -> bool:
     return not any(pairings.values())
 
 
-def _dual_basis(basis, t: int, nvars: int, store: dict) -> dict:
+def _dual_basis(basis, t: int, store: dict) -> dict:
     """The orthogonal complement of J_t (_macaulay_rows) as primitive
     integer vectors, one per standard monomial (linalg.integer_kernel): a
     form of degree t lies in J iff it pairs to 0 with each.  Returned
@@ -404,7 +410,7 @@ def _dual_basis(basis, t: int, nvars: int, store: dict) -> dict:
     with it, which proves the two pieces equal: the rows span J_t, so J_t
     lies in the stored piece, and the same standard monomials give both the
     same dimension.  The proof reads only J's own rows."""
-    monos, standard, rows = _macaulay_rows(basis, t, nvars)
+    monos, standard, rows = _macaulay_rows(basis, t)
     if rows is None:
         return {m: ((i, 1),) for i, m in enumerate(standard)}
     known = store.setdefault(tuple(standard), [])
@@ -437,8 +443,8 @@ def _reduced_basis(gens, order: MonomialOrder, floor=None) -> tuple:
 
 
 class Ideal:
-    """An ideal given by homogeneous generators, with a cached reduced
-    Groebner basis.
+    """An ideal of k[x, y, z] given by homogeneous generators, with a cached
+    reduced Groebner basis; Ideal([]) is the zero ideal.
 
     The generators are kept as distinct primitive integer forms
     (content 1, positive leading coefficient under grevlex), and the reduced
@@ -452,48 +458,41 @@ class Ideal:
     bases coincide.
     """
 
-    __slots__ = ("nvars", "_ints", "_basis", "_floor", "_gb")
+    __slots__ = ("_ints", "_basis", "_floor", "_gb")
 
-    def __init__(self, generators, nvars=None):
+    def __init__(self, generators):
         gens = []
         for g in generators:
             if not isinstance(g, Poly):
                 raise TypeError("generators must be Poly")
             if not g.is_homogeneous():
                 raise ValueError("generators must be homogeneous")
-            if not g.is_zero():
-                gens.append(g)
-        if nvars is None:
-            if not gens:
-                raise ValueError("nvars required for the zero ideal")
-            nvars = gens[0].nvars
-        if any(g.nvars != nvars for g in gens):
-            raise ValueError("generators live in different rings")
-        self._fill(nvars, _distinct(_int_from_poly(g, GREVLEX.key) for g in gens))
+            gens.append(_int_from_poly(g))
+        self._fill(_distinct(p for p in gens if p))
 
-    def _fill(self, nvars, ints, basis=None, floor=None):
-        for slot, value in zip(self.__slots__, (nvars, ints, basis, floor, None)):
+    def _fill(self, ints, basis=None, floor=None):
+        for slot, value in zip(self.__slots__, (ints, basis, floor, None)):
             object.__setattr__(self, slot, value)
 
     def __setattr__(self, *a):
         raise AttributeError("Ideal is immutable")
 
     @classmethod
-    def _of(cls, forms, nvars):
+    def _of(cls, forms):
         """The ideal generated by nonzero primitive integer polynomials with
         positive leading coefficients, each distinct one once."""
         ideal = object.__new__(cls)
-        ideal._fill(nvars, _distinct(forms))
+        ideal._fill(_distinct(forms))
         return ideal
 
     @classmethod
-    def _from_basis(cls, basis, nvars):
+    def _from_basis(cls, basis):
         """The ideal generated by its reduced basis, given as (leading
         exponent, primitive polynomial) pairs, leading exponents
         descending."""
         basis = tuple(basis)
         ideal = object.__new__(cls)
-        ideal._fill(nvars, tuple(p for _, p in basis), basis)
+        ideal._fill(tuple(p for _, p in basis), basis)
         return ideal
 
     def _bounded(self, floor):
@@ -501,7 +500,7 @@ class Ideal:
         (s0, N): a promise that for every s >= s0 its degree-s piece has
         dimension at most C(s + 2, 2) - N."""
         ideal = object.__new__(Ideal)
-        ideal._fill(self.nvars, self._ints, self._basis, floor)
+        ideal._fill(self._ints, self._basis, floor)
         return ideal
 
     # -- generators -----------------------------------------------------------
@@ -510,7 +509,7 @@ class Ideal:
     def generators(self):
         """The generators as integral, primitive Polys with positive
         leading coefficients."""
-        return tuple(Poly(p, self.nvars) for p in self._ints)
+        return tuple(Poly(p, 3) for p in self._ints)
 
     # -- Groebner machinery --------------------------------------------------
 
@@ -525,7 +524,7 @@ class Ideal:
     def groebner(self):
         """The reduced basis as monic Fraction Polys (cached); no command reads it."""
         if self._gb is None:
-            gb = tuple(_poly_from_int(p, lead, self.nvars) for lead, p in self._int_basis())
+            gb = tuple(_poly_from_int(p, lead) for lead, p in self._int_basis())
             object.__setattr__(self, "_gb", gb)
         return self._gb
 
@@ -539,9 +538,7 @@ class Ideal:
         return len(basis) == 1 and not any(basis[0][0])
 
     def contains(self, p: Poly) -> bool:
-        if p.nvars != self.nvars:
-            raise ValueError("polynomial lives in a different ring")
-        return self._holds(_int_from_poly(p, GREVLEX.key))
+        return self._holds(_int_from_poly(p))
 
     def _holds(self, p: IntPoly) -> bool:
         """Membership of an integer polynomial: its normal form is zero."""
@@ -566,15 +563,13 @@ class Ideal:
             t = sum(next(iter(p)))
             touched = duals.get(t)
             if touched is None:
-                touched = duals[t] = _dual_basis(self._int_basis(), t, self.nvars, store)
+                touched = duals[t] = _dual_basis(self._int_basis(), t, store)
             yield _pairs_to_zero(p, touched)
 
     def contains_ideal(self, other: "Ideal") -> bool:
         """Any generating set of other decides, so this starts no Groebner
         computation on it: its reduced basis if computed, else its
         generators."""
-        if other.nvars != self.nvars:
-            raise ValueError("ideals live in different rings")
         if other is self:
             return True
         forms = other._ints if other._basis is None else (p for _, p in other._basis)
@@ -584,7 +579,7 @@ class Ideal:
         return tuple(lead for lead, _ in self._int_basis())
 
     def __repr__(self):
-        names = var_names(self.nvars)
+        names = var_names(3)
         gens = ", ".join(form_str(p, p[lead], names) for lead, p in self._int_basis())
         return f"Ideal({gens or '0'})"
 
@@ -593,18 +588,17 @@ class Ideal:
 # constructors
 
 
-def zero_ideal(nvars: int = 3) -> Ideal:
-    return Ideal([], nvars=nvars)
+def zero_ideal() -> Ideal:
+    return Ideal([])
 
 
-def unit_ideal(nvars: int = 3) -> Ideal:
-    one = (0,) * nvars
-    return Ideal._from_basis([(one, {one: 1})], nvars)
+def unit_ideal() -> Ideal:
+    return Ideal._from_basis([((0, 0, 0), {(0, 0, 0): 1})])
 
 
 def maximal_ideal() -> Ideal:
     """The irrelevant maximal ideal (x, y, z) of the origin."""
-    return Ideal([Poly.variable(i, 3) for i in range(3)], nvars=3)
+    return Ideal([Poly.variable(i) for i in range(3)])
 
 
 # ---------------------------------------------------------------------------
@@ -614,10 +608,7 @@ def maximal_ideal() -> Ideal:
 def ideal_sum(*ideals: Ideal) -> Ideal:
     if not ideals:
         raise ValueError("empty sum")
-    nvars = ideals[0].nvars
-    if any(I.nvars != nvars for I in ideals):
-        raise ValueError("ideals live in different rings")
-    return Ideal._of([p for I in ideals for p in I._ints], nvars)
+    return Ideal._of([p for I in ideals for p in I._ints])
 
 
 def _int_mul(f: IntPoly, g: IntPoly) -> IntPoly:
@@ -637,16 +628,14 @@ def ideal_product(I: Ideal, J: Ideal) -> Ideal:
     """Products of the generators, multiplied as primitive integer forms.
     By Gauss's lemma each product is primitive with a positive leading
     coefficient, so f*g and g*f give the same generator."""
-    if I.nvars != J.nvars:
-        raise ValueError("ideals live in different rings")
-    return Ideal._of([_int_mul(f, g) for f in I._ints for g in J._ints], I.nvars)
+    return Ideal._of([_int_mul(f, g) for f in I._ints for g in J._ints])
 
 
 def ideal_power(I: Ideal, k: int) -> Ideal:
     if k < 0:
         raise ValueError("negative ideal power")
     if k == 0:
-        return unit_ideal(I.nvars)
+        return unit_ideal()
     out = I
     for _ in range(k - 1):
         out = ideal_product(out, I)
@@ -660,7 +649,7 @@ def truncation(J: Ideal, k: int) -> Ideal:
     under no minimal generator of higher degree, and vice versa."""
     basis = J._int_basis()
     k = max(k, 0)
-    monos, standard, rows = _macaulay_rows(basis, k, J.nvars)
+    monos, standard, rows = _macaulay_rows(basis, k)
     if rows is None:
         standard = set(standard)
         piece = [(m, {m: 1}) for m in monos if m not in standard]
@@ -669,21 +658,18 @@ def truncation(J: Ideal, k: int) -> Ideal:
             (monos[p], _normalize({monos[j]: v for j, v in enumerate(r) if v}, monos[p]))
             for r, p in zip(*_eliminated(monos, rows))
         ]
-    return Ideal._from_basis([b for b in basis if sum(b[0]) > k] + piece, J.nvars)
+    return Ideal._from_basis([b for b in basis if sum(b[0]) > k] + piece)
 
 
 def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
-    """I ∩ J by one elimination on forms in (t, x..., h): t*f for f in I's
-    basis, h*g - t*g for g in J's.  Their ideal H is t*I + (1-t)*J at h = 1
-    and lies in (t) at h = 0, so H ∩ k[x..., h] = h*(I ∩ J)*k[h], as
+    """I ∩ J by one elimination on forms in (t, x, y, z, h): t*f for f in
+    I's basis, h*g - t*g for g in J's.  Their ideal H is t*I + (1-t)*J at
+    h = 1 and lies in (t) at h = 0, so H ∩ k[x, y, z, h] = h*(I ∩ J)*k[h], as
     h*q = t*q + (h - t)*q (Cox, Little and O'Shea, Ideals, Varieties, and
-    Algorithms, ch. 4 §3).  Its reduced basis under elimination_order(1) is
-    h times the reduced grevlex basis of I ∩ J, already in grevlex order."""
-    if I.nvars != J.nvars:
-        raise ValueError("ideals live in different rings")
-    n = I.nvars
+    Algorithms, ch. 4 §3).  Its reduced basis under ELIMINATION is h times
+    the reduced grevlex basis of I ∩ J, already in grevlex order."""
     if I.is_zero() or J.is_zero():
-        return zero_ideal(n)
+        return zero_ideal()
     if I.is_unit():
         return J
     if J.is_unit():
@@ -695,28 +681,27 @@ def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
         h = {(1,) + e + (0,): -c for e, c in g.items()}
         h.update(((0,) + e + (1,), c) for e, c in g.items())
         lifted.append(h)
-    basis = _graded(lifted, elimination_order(1))
+    basis = _graded(lifted, ELIMINATION)
     kept = [
         (lead[1:-1], {e[1:-1]: c for e, c in p.items()})
         for lead, p in basis
         if lead[0] == 0
     ]
-    return Ideal._from_basis(kept, n)
+    return Ideal._from_basis(kept)
 
 
 def ideal_quotient(I: Ideal, J: Ideal) -> Ideal:
     """The colon ideal (I : J), computed generator by generator."""
     if J.is_zero():
-        return unit_ideal(I.nvars)
+        return unit_ideal()
     if I.is_zero() or J.is_unit():
         return I
-    n = I.nvars
     parts = []
     for lead, g in J._int_basis():
-        K = ideal_intersect(I, Ideal._of([g], n))
+        K = ideal_intersect(I, Ideal._of([g]))
         # K lies in (g), so g divides each element of its basis exactly
         quot = [_exact_quotient(h, g, lead) for _, h in K._int_basis()]
-        parts.append(Ideal._of(quot, n))
+        parts.append(Ideal._of(quot))
     return _fold(ideal_intersect, parts)
 
 
@@ -731,9 +716,6 @@ def saturate(I: Ideal, J: Ideal) -> Ideal:
     criterion for detecting m-regularity", Invent. Math. 1987), which needs
     I homogeneous, as every Ideal is.
     """
-    n = I.nvars
-    if J.nvars != n:
-        raise ValueError("ideals live in different rings")
     variables = []
     for lead, g in J._int_basis():
         if len(g) != 1 or sum(lead) != 1:
@@ -744,8 +726,8 @@ def saturate(I: Ideal, J: Ideal) -> Ideal:
     keyf = GREVLEX.key
     parts = []
     for v in variables:
-        perm = tuple(i for i in range(n) if i != v) + (v,)
-        inverse = tuple(perm.index(i) for i in range(n))
+        perm = tuple(i for i in range(3) if i != v) + (v,)
+        inverse = tuple(perm.index(i) for i in range(3))
         # the generators are the basis elements divided out, oriented anew
         # because the moved order may have led with another term
         quotient = []
@@ -754,7 +736,7 @@ def saturate(I: Ideal, J: Ideal) -> Ideal:
             if q[max(q, key=keyf)] < 0:
                 q = {e: -c for e, c in q.items()}
             quotient.append(q)
-        parts.append(Ideal._of(quotient, n))
+        parts.append(Ideal._of(quotient))
     return _fold(ideal_intersect, parts)
 
 
@@ -763,9 +745,9 @@ def _basis_with_last(I: Ideal, v: int) -> tuple:
     place, the others keeping their order, as (leading exponent, primitive
     polynomial) pairs in the moved variables: I's own cached basis when v is
     already last, else one computed from I's generators."""
-    if v == I.nvars - 1:
+    if v == 2:
         return I._int_basis()
-    perm = tuple(i for i in range(I.nvars) if i != v) + (v,)
+    perm = tuple(i for i in range(3) if i != v) + (v,)
     return _reduced_basis([_permuted(g, perm) for g in I._ints], GREVLEX)
 
 
@@ -776,26 +758,24 @@ def _divide_out_last(p: IntPoly) -> IntPoly:
 
 
 def eliminate(I: Ideal, var: int) -> Ideal:
-    """The elimination ideal I ∩ k[other variables], inside the same ring."""
-    n = I.nvars
-    if not 0 <= var < n:
+    """The elimination ideal I ∩ k[the other two variables], inside
+    k[x, y, z]."""
+    if not 0 <= var < 3:
         raise ValueError("variable index out of range")
     if I.is_zero():
         return I
-    perm = (var,) + tuple(i for i in range(n) if i != var)
-    inverse = tuple(perm.index(i) for i in range(n))
-    basis = _reduced_basis([_permuted(g, perm) for g in I._ints], elimination_order(1))
+    perm = (var,) + tuple(i for i in range(3) if i != var)
+    inverse = tuple(perm.index(i) for i in range(3))
+    basis = _reduced_basis([_permuted(g, perm) for g in I._ints], ELIMINATION)
     kept = [
         (tuple(lead[i] for i in inverse), _permuted(p, inverse))
         for lead, p in basis
         if lead[0] == 0
     ]
-    return Ideal._from_basis(kept, n)
+    return Ideal._from_basis(kept)
 
 
 def ideal_equal(I: Ideal, J: Ideal) -> bool:
     """Equality via identical reduced Groebner bases; equal generators
     decide without a basis."""
-    if I.nvars != J.nvars:
-        return False
     return I._ints == J._ints or I._int_basis() == J._int_basis()

@@ -55,7 +55,7 @@ def power_of_m(k: int) -> Ideal:
     """m^k, the truncation of the unit ideal: the unit ideal for k <= 0 (the
     reading under which the closed formulas return (1) below the log
     canonical threshold)."""
-    return truncation(unit_ideal(3), k)
+    return truncation(unit_ideal(), k)
 
 
 class UnsupportedArrangement(ValueError):
@@ -170,19 +170,19 @@ def _closed_form(c: Classification, Z: PointSet, terms) -> Ideal:
     parts = []
     for K, k in terms:
         if K == "1":
-            parts.append(truncation(unit_ideal(3), k))
+            parts.append(truncation(unit_ideal(), k))
         elif K in ("F", "F2"):
             # by Gauss's lemma the square is primitive, with positive lead
-            G = _int_from_poly(c.curve_form, GREVLEX.key)
+            G = _int_from_poly(c.curve_form)
             if K == "F2":
                 G = _int_mul(G, G)
-            principal = Ideal._from_basis([(max(G, key=GREVLEX.key), G)], 3)
+            principal = Ideal._from_basis([(max(G, key=GREVLEX.key), G)])
             parts.append(truncation(principal, k + sum(next(iter(G)))))
         else:
             parts.append(truncation(ideal_of_points(Z) if K == "Z" else c.zd_ideal, k))
     if len(parts) == 1:
         return parts[0]
-    return Ideal._from_basis(ideal_sum(*parts)._int_basis(), 3)
+    return Ideal._from_basis(ideal_sum(*parts)._int_basis())
 
 
 def _shared(memo: dict, key, build) -> Ideal:
@@ -257,7 +257,7 @@ def membership_by_valuation(
     Both cases additionally require order floor(lam) - 1 along each line,
     which below 3 means, from lam = 2 on, that G vanishes on Z.
     """
-    G = _int_from_poly(G, GREVLEX.key)
+    G = _int_from_poly(G)
     return _valuation_memberships(c, Z, [(G, _curve_order(c, G))], [lam])[0][0]
 
 
@@ -266,7 +266,7 @@ def _curve_order(c: Classification, G) -> int:
     exact integer division; 0 in the other cases and for G = 0."""
     a = 0
     if c.kind == "B" and G:
-        F = _int_from_poly(c.curve_form, GREVLEX.key)
+        F = _int_from_poly(c.curve_form)
         lead = max(F, key=GREVLEX.key)
         while (G := _exact_quotient(G, F, lead)) is not None:
             a += 1

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from operator import sub
 
-from .ideals import Ideal
+from .ideals import Ideal, _int_from_poly
 from .multiplier import as_lambda
 from .polynomials import Poly, grevlex_key
 
@@ -84,16 +84,15 @@ def newton_polyhedron(exponents) -> NewtonPolyhedron:
 
 def monomial_mi(generators, lam) -> Ideal:
     """Multiplier ideal of the monomial ideal spanned by the given exponent
-    vectors (or single-term polynomials), at exponent lam."""
+    vectors (or single-term polynomials) of k[x, y, z], at exponent lam."""
     lam = as_lambda(lam)
     exps = []
     for g in generators:
-        if isinstance(g, Poly):
-            if len(g.terms) != 1:
-                raise ValueError("generators must be monomials")
-            exps.append(next(iter(g.terms)))
-        else:
-            exps.append(tuple(g))
+        if not isinstance(g, Poly):
+            g = Poly.monomial(g)
+        if len(g.terms) != 1:
+            raise ValueError("generators must be monomials")
+        exps.append(next(iter(_int_from_poly(g))))
     poly = newton_polyhedron(exps)
     bound = math.ceil(lam * max(k for p in poly.exponent_points for k in p)) + 3
     num, den = lam.numerator, lam.denominator
@@ -113,4 +112,4 @@ def monomial_mi(generators, lam) -> Ideal:
     # v is a minimal exponent iff no v - e_i is in it
     minimal = [v for v in found if not any(tuple(map(sub, v, e)) in found for e in _AXES)]
     minimal.sort(key=grevlex_key, reverse=True)
-    return Ideal._from_basis([(e, {e: 1}) for e in minimal], 3)
+    return Ideal._from_basis([(e, {e: 1}) for e in minimal])

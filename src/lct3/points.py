@@ -85,7 +85,7 @@ class GradedPiece:
     @cached_property
     def basis(self) -> tuple:
         """The same basis as monic Polys."""
-        return tuple(_poly_from_int(p, lead, 3) for lead, p in self.forms)
+        return tuple(_poly_from_int(p, lead) for lead, p in self.forms)
 
     def codim(self) -> int:
         """Conditions the points impose in this degree: C(d+2, 2) - dim."""
@@ -93,7 +93,7 @@ class GradedPiece:
 
     def ideal(self) -> Ideal:
         """The ideal these forms generate."""
-        return Ideal._of([p for _, p in self.forms], 3)
+        return Ideal._of([p for _, p in self.forms])
 
 
 def point_prime(p: PointP2) -> Ideal:
@@ -172,8 +172,8 @@ def ideal_of_points(Z: PointSet) -> Ideal:
     leading monomials already leave n standard monomials, such as the one
     past t + 1, is skipped unformed."""
     forms = [p for piece in hilbert_pieces(Z) for _, p in piece.forms]
-    generated = Ideal._of(forms, 3)._bounded(fat_point_floor(Z, 1))
-    return Ideal._from_basis(generated._int_basis(), 3)
+    generated = Ideal._of(forms)._bounded(fat_point_floor(Z, 1))
+    return Ideal._from_basis(generated._int_basis())
 
 
 def fat_point_floor(Z: PointSet, k: int) -> tuple:
@@ -213,7 +213,7 @@ def symbolic_power(Z: PointSet, k: int) -> Ideal:
     if k < 0:
         raise ValueError("symbolic power exponent must be non-negative")
     if k == 0:
-        return unit_ideal(3)
+        return unit_ideal()
     if k == 1:
         return ideal_of_points(Z)
     return reduce(ideal_intersect, (ideal_power(point_prime(p), k) for p in Z))

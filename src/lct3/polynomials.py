@@ -2,10 +2,11 @@
 
 A polynomial is a mapping from exponent tuples to nonzero Fraction
 coefficients.  Poly is the input and output type: `ideals` computes on
-primitive integer forms, and `form_str` prints them.  The default ring
-has the three variables x, y, z; ideal intersection lifts to forms in two
-more, t placed *first* in the term order, so that block orders eliminate
-it, and h last (see `ideals`).
+primitive integer forms of k[x, y, z], and `form_str` prints them.  A Poly
+may have another number of variables, but the ideal calculus refuses it
+where it comes in.  Two term orders exist: grevlex, the order of every
+basis, and ELIMINATION, which eliminates the first variable; ideal
+intersection lifts to forms in t, x, y, z, h with t first (see `ideals`).
 
 All arithmetic is exact; floats are rejected on construction.
 """
@@ -39,19 +40,16 @@ def grevlex_key(e: Exponent):
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """A monomial order: 'grevlex', 'lex', or 'elim' (block order eliminating
-    the first `block` variables, grevlex inside each block)."""
+    """A monomial order: 'grevlex', or 'elim', the block order that
+    eliminates the first variable, grevlex on the others."""
 
     tag: str
-    block: int = 0
 
     def key(self, e: Exponent):
         if self.tag == "grevlex":
             return grevlex_key(e)
-        if self.tag == "lex":
-            return e
         if self.tag == "elim":
-            return (grevlex_key(e[: self.block]), grevlex_key(e[self.block :]))
+            return (e[0], grevlex_key(e[1:]))
         raise ValueError(f"unknown monomial order tag {self.tag!r}")
 
     def heap_key(self, e: Exponent):
@@ -59,22 +57,14 @@ class MonomialOrder:
         pops the largest monomial first.  Exact for any exponent size."""
         if self.tag == "grevlex":
             return (-sum(e), e[::-1])
-        if self.tag == "lex":
-            return tuple(-v for v in e)
         if self.tag == "elim":
-            head, tail = e[: self.block], e[self.block :]
-            return ((-sum(head), head[::-1]), (-sum(tail), tail[::-1]))
+            tail = e[1:]
+            return (-e[0], -sum(tail), tail[::-1])
         raise ValueError(f"unknown monomial order tag {self.tag!r}")
 
 
 GREVLEX = MonomialOrder("grevlex")
-LEX = MonomialOrder("lex")
-
-
-def elimination_order(block: int) -> MonomialOrder:
-    if block < 1:
-        raise ValueError("elimination block must contain at least one variable")
-    return MonomialOrder("elim", block)
+ELIMINATION = MonomialOrder("elim")
 
 
 def _as_fraction(c) -> Fraction:

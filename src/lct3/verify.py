@@ -48,7 +48,7 @@ def _oracle_inputs(c, Z):
     powers = [{(0, 0, 0): 1}]
     f = None  # the exponent of F where F is a monomial
     if c.kind == "B":
-        F = _int_from_poly(c.curve_form, GREVLEX.key)
+        F = _int_from_poly(c.curve_form)
         while len(powers) <= min(ORACLE_POWER_BOUND, ORACLE_DEGREE_BOUND // c.d):
             powers.append(_int_mul(powers[-1], F))
         if len(F) == 1:

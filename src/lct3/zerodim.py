@@ -1,6 +1,8 @@
-"""Zero-dimensional analysis of saturated homogeneous ideals: Hilbert
-functions and polynomials, projective degree, reducedness via the rank of the
-Hermite trace form on the standard affine charts."""
+"""Zero-dimensional analysis of saturated homogeneous ideals of k[x, y, z]:
+Hilbert functions and polynomials, projective degree, reducedness via the
+rank of the Hermite trace form on the standard affine charts, which are
+algebras in two variables.  A homogeneous ideal that is zero-dimensional in
+affine 3-space is m-primary, so its radical needs no computation."""
 
 from __future__ import annotations
 
@@ -9,8 +11,8 @@ from fractions import Fraction
 from itertools import product
 from operator import add, sub
 
-from .ideals import Ideal, _basis_with_last, _divides, _standard_count
-from .linalg import TRACE_PRIME, echelon, integer_kernel
+from .ideals import Ideal, _basis_with_last, _divides, _standard_count, maximal_ideal, unit_ideal
+from .linalg import TRACE_PRIME, echelon
 from .polynomials import GREVLEX
 
 
@@ -23,12 +25,12 @@ class ZeroDimReport:
 
 def hilbert_function(I: Ideal, t: int) -> int:
     """dim of the degree-t piece of S/I, by counting standard monomials."""
-    return _standard_count(I.leading_exponents(), t, I.nvars)
+    return _standard_count(I.leading_exponents(), t)
 
 
 def zero_dim_report(I: Ideal) -> ZeroDimReport:
-    """Analyze a saturated homogeneous ideal in three variables: its
-    projective degree and, for a zero-dimensional scheme, reducedness."""
+    """Analyze a saturated homogeneous ideal: its projective degree and, for
+    a zero-dimensional scheme, reducedness."""
     degree = projective_degree(I)
     if not degree:
         return ZeroDimReport(False, 0, False)
@@ -36,13 +38,11 @@ def zero_dim_report(I: Ideal) -> ZeroDimReport:
 
 
 def hilbert_polynomial(I: Ideal):
-    """(a, b) with HP(S/I)(t) = a*t + b, for a nonzero homogeneous ideal in
-    three variables.  The Taylor resolution of in(I) writes HF(S/in(I)) as
+    """(a, b) with HP(S/I)(t) = a*t + b, for a nonzero homogeneous ideal
+    of S = k[x, y, z].  The Taylor resolution of in(I) writes HF(S/in(I)) as
     a signed sum of binomials C(t - D + 2, 2), D the degrees of lcms of
     leading terms, each polynomial in t from D - 2 on; so HF = HP from
     t0 = deg lcm(in I) - 2 on, and two values there determine it."""
-    if I.nvars != 3:
-        raise ValueError("expected an ideal in the homogeneous coordinate ring")
     if I.is_zero():
         raise ValueError("the zero ideal has a quadratic Hilbert polynomial")
     lcm = map(max, zip(*I.leading_exponents()))  # exponents of lcm(in I)
@@ -53,11 +53,9 @@ def hilbert_polynomial(I: Ideal):
 
 
 def projective_degree(I: Ideal) -> int:
-    """Length of the scheme of a homogeneous ideal in three variables; 0
-    when the scheme is not zero-dimensional (a constant Hilbert polynomial
-    is the length)."""
-    if I.nvars != 3:
-        raise ValueError("expected an ideal in the homogeneous coordinate ring")
+    """Length of the projective scheme of a homogeneous ideal; 0 when the
+    scheme is not zero-dimensional (a constant Hilbert polynomial is the
+    length)."""
     if I.is_unit():
         raise ValueError("the unit ideal defines the empty scheme")
     if I.is_zero():
@@ -101,7 +99,7 @@ def _chart_reduced(chart):
     the prime divides no leading coefficient, that rank is first taken
     modulo TRACE_PRIME, where it can only drop; a form short of full rank
     there is ranked again over Q.  Both ranks are forward only."""
-    basis = _standard_monomials([lead for lead, _ in chart], 2)
+    basis = _standard_monomials([lead for lead, _ in chart])
     n = len(basis)
     if all(g[lead] % TRACE_PRIME for lead, g in chart):
         modular = _trace_matrix(chart, basis, TRACE_PRIME)
@@ -112,18 +110,13 @@ def _chart_reduced(chart):
 
 
 def radical_zero_dim(I: Ideal) -> Ideal:
-    """Radical of a zero-dimensional ideal, which, being homogeneous, is
-    m-primary, with radical m.  In characteristic 0 the nilradical of
-    A = k[x]/I is the kernel of the trace form of A, so the radical is I
-    plus the polynomials that kernel spans.  With pivots taken left to
-    right, each kernel vector (linalg.integer_kernel) is positive in its
-    last nonzero column, the leading one of the ascending basis."""
-    gb = I._int_basis()
-    basis = _standard_monomials([lead for lead, _ in gb], I.nvars)
-    n = len(basis)
-    kernel = integer_kernel(*echelon(_trace_matrix(gb, basis), range(n)), n)
-    nilpotents = [{basis[j]: v for j, v in vec.items()} for _, vec in kernel]
-    return Ideal._of(I._ints + tuple(nilpotents), I.nvars)
+    """Radical of an ideal that is zero-dimensional in affine 3-space, i.e.
+    of Hilbert polynomial 0; ValueError for any other.  Such an ideal
+    contains a power of m, and being homogeneous it lies in m unless it is
+    the unit ideal, so its radical is m = (x, y, z), or the unit ideal."""
+    if I.is_zero() or hilbert_polynomial(I) != (0, 0):
+        raise ValueError("not zero-dimensional")
+    return unit_ideal() if I.is_unit() else maximal_ideal()
 
 
 def _trace_matrix(gb, basis, prime: int = None) -> list:
@@ -173,13 +166,12 @@ def _trace_matrix(gb, basis, prime: int = None) -> list:
     return [[trace[m] for m in row] for row in products]
 
 
-def _standard_monomials(leads, nvars: int) -> list:
-    """Monomials that no exponent of leads divides, ascending in grevlex.
-    They are finitely many exactly when a power of each variable is among
-    leads (1 for the unit ideal), and they lie below the least ones."""
-    powers = [
-        min((l[v] for l in leads if sum(l) == l[v]), default=-1) for v in range(nvars)
-    ]
+def _standard_monomials(leads) -> list:
+    """Monomials of a chart's two variables that no exponent of leads
+    divides, ascending in grevlex.  They are finitely many exactly when a
+    power of each variable is among leads (1 for the unit ideal), and they
+    lie below the least ones."""
+    powers = [min((l[v] for l in leads if sum(l) == l[v]), default=-1) for v in range(2)]
     if -1 in powers:
         v = powers.index(-1)
         raise ValueError(f"not zero-dimensional: no leading power of variable {v}")

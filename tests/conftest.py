@@ -83,6 +83,21 @@ def eight_general():
 
 
 @pytest.fixture(scope="session")
+def twelve_on_two_quartics():
+    """A Case C set whose first piece has three forms, not a pencil: the 16
+    points L_i ∩ M_j of two products of four lines, less L1∩M1, L1∩M2,
+    L1∩M3 and L2∩M1.  The quartics through the 12 left form a net."""
+    L = [(3, 4, -8), (-1, 7, 6), (3, 0, 6), (2, 9, -3)]
+    M = [(7, -5, 0), (-5, -6, -1), (8, -5, 0), (-6, -7, 1)]
+    dropped = {(0, 0), (0, 1), (0, 2), (1, 0)}
+    # the point where the lines l and m meet
+    meet = lambda l, m: (l[1] * m[2] - l[2] * m[1], l[2] * m[0] - l[0] * m[2], l[0] * m[1] - l[1] * m[0])
+    return PointSet.of(
+        [meet(l, m) for i, l in enumerate(L) for j, m in enumerate(M) if (i, j) not in dropped]
+    )
+
+
+@pytest.fixture(scope="session")
 def supported_arrangements(
     coordinate_points, three_collinear, six_on_conic, six_general, eight_general
 ):

@@ -189,11 +189,11 @@ def _closed_form_two_to_three(c, Z, lam):
             power_of_m(math.floor(lam * e) - (2 + e - d)),
             ideal_product(
                 power_of_m(math.floor(lam * e) - (2 + 2 * e - d)),
-                Ideal([Fd], nvars=3),
+                Ideal([Fd]),
             ),
             ideal_product(
                 power_of_m(math.floor(lam * d) - (2 + 2 * d)),
-                Ideal([Fd * Fd], nvars=3),
+                Ideal([Fd * Fd]),
             ),
         )
         return ideal_intersect(part, I)

@@ -1,5 +1,5 @@
 import random
-from itertools import count
+from itertools import combinations, count
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -27,6 +27,7 @@ from lct3 import (
     maximal_ideal,
     monomials_of_degree,
     saturate,
+    variables,
     zero_dim_report,
 )
 from lct3 import envelopes, ideals, linalg, zerodim
@@ -88,6 +89,15 @@ def test_smoothness():
         is_smooth_plane_curve(X + X * X)
 
 
+def test_smoothness_refuses_forms_outside_the_ring():
+    # x^2 - y*z in four variables and x^2 - y^2 in two are not plane curves
+    t, x, y, z = variables(4)
+    u, v = variables(2)
+    for F in (x * x - y * z, u * u - v * v):
+        with pytest.raises(ValueError, match=r"not in k\[x, y, z\]"):
+            is_smooth_plane_curve(F)
+
+
 def smooth_by_groebner(F) -> bool:
     """The reference the rank test replaced: F and its partials vanish
     together nowhere, i.e. their ideal has Hilbert polynomial 0."""
@@ -95,7 +105,7 @@ def smooth_by_groebner(F) -> bool:
         Poly({e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in F.terms.items() if e[i]}, 3)
         for i in range(3)
     ]
-    J = Ideal([F, *partials], nvars=3)
+    J = Ideal([F, *partials])
     return hilbert_polynomial(J) == (0, 0)
 
 
@@ -221,6 +231,33 @@ def test_classify_case_c(eight_general):
     assert ideal_of_points(eight_general).contains_ideal(c.zd_ideal)
 
 
+def test_classify_case_c_with_a_three_form_piece(twelve_on_two_quartics):
+    Z_ = twelve_on_two_quartics
+    listed = [
+        (-52, 45, 3), (29, -31, 41), (30, 48, -51), (49, -35, 49),
+        (30, 42, -15), (36, -27, -18), (30, 48, -15), (42, -39, -21),
+        (-15, -21, -73), (-27, 17, 33), (-15, -24, -82), (-12, 16, 40),
+    ]
+    assert set(Z_.points) == set(PointSet.of(listed).points)
+    c = classify(Z_)
+    assert c.kind == "C" and (c.d, c.e) == (4, 5)
+    forms = [p for _, p in hilbert_pieces(Z_)[c.d].forms]
+    assert len(forms) == 3
+    assert (c.zd_degree, c.w_degree) == (13, 1)
+    zd = zero_dim_report(c.zd_ideal)
+    assert zd.is_reduced and zd.degree == 13
+    # W is the dropped point L2 ∩ M1 = [30 : 42 : -44]
+    assert ideal_equal(c.w_ideal, ideal_of_points(PointSet.of([(30, 42, -44)])))
+    assert ideal_of_points(Z_).contains_ideal(c.zd_ideal)
+    # the envelope is no complete intersection: zd_degree is not d^2, and
+    # each pencil of two of the forms cuts d^2 = 16 points
+    assert c.zd_degree != c.d**2
+    for F, G in combinations(forms, 2):
+        pencil = Ideal._of([F, G])
+        assert zero_dim_report(pencil).degree == c.d**2
+        assert not ideal_equal(pencil, c.zd_ideal)
+
+
 def test_ggds_inside_generator_degrees(supported_arrangements):
     for _, Z_ in supported_arrangements:
         report = envelope_report(Z_)
@@ -295,7 +332,7 @@ def test_case_b_unique_curve(six_on_conic, three_collinear):
         assert len(graded_piece(Z_, c.d).basis) == 1
         assert c.curve_form.total_degree() == c.d
         assert is_smooth_plane_curve(c.curve_form)
-        assert ideal_equal(envelope(Z_, c.d), Ideal([c.curve_form], nvars=3))
+        assert ideal_equal(envelope(Z_, c.d), Ideal([c.curve_form]))
 
 
 # Noise-free gate on classify: fresh Groebner bases, the runs of the one

@@ -177,7 +177,7 @@ def assert_moves_with_coordinates(Z_, kind, lam_max, lams, seed):
     assert [lam for lam, _ in jumping_numbers(c_moved, moved, lam_max).jumps] == jumps
     for lam in lams:
         J = multiplier_ideal(c, Z_, lam).ideal
-        expected = Ideal([composed(f, inverse(g)) for f in J.generators], nvars=3)
+        expected = Ideal([composed(f, inverse(g)) for f in J.generators])
         assert ideal_equal(multiplier_ideal(c_moved, moved, lam).ideal, expected), lam
 
 

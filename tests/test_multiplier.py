@@ -23,7 +23,7 @@ from lct3 import (
     power_of_m,
     symbolic_power,
 )
-from lct3 import GREVLEX, PointSet, general_points, monomials_of_degree
+from lct3 import PointSet, general_points, monomials_of_degree, variables
 from lct3.ideals import _int_from_poly
 from lct3.multiplier import _curve_order, _require_supported, _valuation_memberships
 from lct3.verify import _oracle_inputs
@@ -165,6 +165,13 @@ def test_valuation_membership_rejects_case_c(eight_general):
         membership_by_valuation(c, eight_general, X, 1)
 
 
+def test_valuation_membership_refuses_forms_outside_the_ring(coordinate_points):
+    c = classify(coordinate_points)
+    t, x, y, z = variables(4)
+    with pytest.raises(ValueError, match=r"not in k\[x, y, z\]"):
+        membership_by_valuation(c, coordinate_points, x * y, 1)
+
+
 def test_valuation_membership_rejects_large_lambda(coordinate_points):
     c = classify(coordinate_points)
     with pytest.raises(ValueError):
@@ -243,7 +250,7 @@ def reference_membership_by_valuation(c, Z_, G, lam):
 def memberships(c, Z_, G, lams):
     """_valuation_memberships of the one form G, given as a Poly, with its
     curve order found by division."""
-    G = _int_from_poly(G, GREVLEX.key)
+    G = _int_from_poly(G)
     return _valuation_memberships(c, Z_, [(G, _curve_order(c, G))], lams)[0]
 
 

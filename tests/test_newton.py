@@ -12,6 +12,7 @@ from lct3 import (
     monomial_mi,
     multiplier_ideal,
     newton_polyhedron,
+    variables,
 )
 
 F = Fraction
@@ -21,6 +22,14 @@ AXES = [(1, 1, 0), (1, 0, 1), (0, 1, 1)]
 
 def test_axes_at_three_halves():
     assert ideal_equal(monomial_mi(AXES, F(3, 2)), maximal_ideal())
+
+
+def test_monomials_outside_the_ring_are_refused():
+    # as Polys and as exponent vectors, through the check Ideal uses
+    t, x, y, z = variables(4)
+    for generators in ([x * y], [(1, 1)], [(1, 1, 0, 0)]):
+        with pytest.raises(ValueError, match=r"not in k\[x, y, z\]"):
+            monomial_mi(generators, 1)
 
 
 def test_smooth_divisor():

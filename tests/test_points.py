@@ -25,7 +25,6 @@ from lct3 import (
     point_prime,
     symbolic_power,
     unit_ideal,
-    variables,
 )
 from lct3 import linalg, points
 from lct3.envelopes import classify
@@ -345,7 +344,7 @@ def case_b_curve_power(power):
         *(lambda s=s: classify(general_points(8, s)).zd_ideal for s in (1, 2, 8)),
         lambda: case_b_curve_power(1),
         lambda: case_b_curve_power(2),
-        lambda: unit_ideal(3),
+        lambda: unit_ideal(),
     ],
     ids=["zd-8-1", "zd-8-2", "zd-8-8", "curve-form", "curve-form-squared", "unit"],
 )
@@ -365,11 +364,13 @@ def test_truncation_rejects_an_inhomogeneous_ideal():
 
 
 def test_truncation_keeps_the_ring():
-    # an ideal in two variables, truncated among their monomials
-    x, y = variables(2)
-    J = Ideal([x * x - y * y, x * y * y])
-    expected = ideal_intersect(ideal_power(Ideal([x, y]), 3), J)
-    assert truncation(J, 3)._int_basis() == expected._int_basis()
+    # an ideal whose generators are free of z, truncated among the monomials
+    # of k[x, y, z]: the truncation brings in multiples by z
+    J = Ideal([X * X - Y * Y, X * Y * Y])
+    truncated = truncation(J, 3)
+    expected = ideal_intersect(ideal_power(maximal_ideal(), 3), J)
+    assert truncated._int_basis() == expected._int_basis()
+    assert truncated.contains(Z * (X * X - Y * Y))
 
 
 @settings(max_examples=40, deadline=None)
@@ -380,7 +381,7 @@ def test_truncation_keeps_the_ring():
 def test_floor_keeps_the_basis_of_the_ideal_of_points(Z_):
     # I_Z's basis, computed with the floor fat_point_floor(Z_, 1), is the
     # reduced basis of the same generators, its pieces, computed without it
-    forms = Ideal._of([p for piece in hilbert_pieces(Z_) for _, p in piece.forms], 3)
+    forms = Ideal._of([p for piece in hilbert_pieces(Z_) for _, p in piece.forms])
     assert ideal_of_points(Z_)._int_basis() == _reduced_basis(forms._ints, GREVLEX)
 
 

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from lct3 import GREVLEX, Poly, X, Y, Z, monomials_of_degree, poly_from_string, poly_str
 from lct3.cli import any_length
-from lct3.polynomials import elimination_order, form_str, grevlex_key
+from lct3.polynomials import ELIMINATION, form_str, grevlex_key
 
 
 def test_difference_of_squares():
@@ -69,9 +69,12 @@ def test_leading_monomial_grevlex():
 
 
 def test_elimination_order_blocks():
-    order = elimination_order(1)
-    # anything containing the first variable beats anything without it
+    order = ELIMINATION
+    # anything containing the first variable beats anything without it, and
+    # grevlex decides among the rest
     assert order.key((1, 0, 0, 0)) > order.key((0, 5, 5, 5))
+    assert order.key((1, 1, 0, 0)) > order.key((1, 0, 0, 1))
+    assert order.key((0, 2, 0, 0)) > order.key((0, 1, 1, 0)) > order.key((0, 0, 2, 0))
 
 
 def test_render_parse_round_trip():

@@ -43,6 +43,13 @@ def test_cross_check_case_c_skips_valuation(eight_general):
     assert not any(e.name == "valuation-oracle" for e in report.entries)
 
 
+def test_cross_check_case_c_with_a_three_form_piece(twelve_on_two_quartics):
+    grid = [F(1, 2), F(1), F(3, 2), F(2), F(5, 2)]
+    report = cross_check(twelve_on_two_quartics, grid)
+    assert report.ok
+    assert [e.name for e in report.entries] == ["monotonicity", "power-containment"]
+
+
 def test_cross_check_unsupported(four_three_collinear):
     report = cross_check(four_three_collinear, [F(1)])
     assert not report.ok
@@ -180,7 +187,7 @@ def tampered_oracle_entry(monkeypatch, Z_, grid):
         if lam in (F(3, 2), F(5, 2)):
             ideal = ideal_product(result.ideal, maximal_ideal())
         elif lam == 2:
-            ideal = unit_ideal(3)
+            ideal = unit_ideal()
         else:
             return result
         return multiplier.MultiplierIdealResult(lam, ideal, result.branch)
